@@ -14,7 +14,7 @@ from coinfactory import dump_envelope_csv, resolve_schedule_ref, validate_schedu
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("target", help="schedule reference, e.g. monomial:2 or doubling:3/25")
+    ap.add_argument("target", help="schedule reference, e.g. monomial:2 or double:3/25")
     ap.add_argument("--max-n", type=int, default=256)
     ap.add_argument("--dump", metavar="PATH", help="also write the cells as CSV")
     ap.add_argument("--skip-bounds", action="store_true",

@@ -18,17 +18,13 @@ from .combinators import (
     load_plan,
     plan_bias_interval,
     plan_hash,
+    resolve_schedule_ref,
     save_plan,
 )
 from .engine import EnvelopeSchedule, dump_envelope_csv, envelope_eval, validate_schedule
 from .errors import CoinFactoryError, CompileBlocked, ExprSyntaxError
 from .lang import Interval, compile_to_plan, parse
-from .schedules import (
-    DoublingParams,
-    corrupt_monomial_fixture,
-    doubling_schedule,
-    monomial_schedule,
-)
+from .schedules import corrupt_monomial_fixture
 from .verify import (
     monte_carlo,
     oracle_enumerate,
@@ -65,12 +61,10 @@ def _parse_domain(text: str) -> Interval:
 
 def _resolve_target(text: str):
     name, _, arg = text.partition(":")
-    if name == "double":
-        return doubling_schedule(DoublingParams(Fraction(arg)))
+    if name in ("double", "monomial"):
+        return resolve_schedule_ref(text)
     if name == "walk":
         return WalkConfig(int(arg))
-    if name == "monomial":
-        return monomial_schedule(int(arg))
     if name == "fixture" and arg == "corrupt-monomial":
         return corrupt_monomial_fixture()
     raise argparse.ArgumentTypeError(
@@ -164,7 +158,8 @@ def cmd_envelope(args) -> int:
     report = validate_schedule(target, args.max_n)
     if args.dump:
         dump_envelope_csv(target, args.max_n, args.dump)
-    print(f"checked {report.checked} cells up to n = {report.max_checkpoint}")
+    cells = sum(n + 1 for n in report.checked)
+    print(f"checked {cells} cells up to n = {report.max_checkpoint}")
     if report.violations:
         for v in report.violations[:20]:
             print(f"violation: {v.kind} at (n={v.n}, k={v.k}): {v.lhs} vs {v.rhs}")

@@ -18,7 +18,8 @@ interval arithmetic; constructors refuse to build nodes whose margin
 preconditions fail on those intervals. Range intervals always describe
 the exact-backend semantics; the one-sided bias of an approximate walk
 backend is tracked separately (see plan_bias_interval) so that a margin
-check can never be satisfied by an approximation error.
+check can never be satisfied by an approximation error. Each kind's rules
+(run, bias interval, polynomial, load) sit in one entry of _KINDS.
 """
 
 from __future__ import annotations
@@ -164,37 +165,22 @@ def constant_plan(c, domain: PlanBounds = UNIVERSAL) -> FactoryPlan:
 # --- structural combinators -------------------------------------------------
 
 
+def _combine(kind: str, domain: PlanBounds, *children: FactoryPlan) -> FactoryPlan:
+    # the range is the kind's bias rule applied to the children's ranges
+    lo, hi = _KINDS[kind].bias(None, None, [(c.range_iv.lo, c.range_iv.hi) for c in children])
+    return FactoryPlan(kind, domain, _range(lo, hi), children=children)
+
+
 def complement(child: FactoryPlan) -> FactoryPlan:
-    return FactoryPlan(
-        "complement",
-        child.domain,
-        _range(1 - child.range_iv.hi, 1 - child.range_iv.lo),
-        children=(child,),
-    )
+    return _combine("complement", child.domain, child)
 
 
 def product(left: FactoryPlan, right: FactoryPlan) -> FactoryPlan:
-    return FactoryPlan(
-        "product",
-        _intersect(left, right),
-        _range(
-            left.range_iv.lo * right.range_iv.lo,
-            left.range_iv.hi * right.range_iv.hi,
-        ),
-        children=(left, right),
-    )
+    return _combine("product", _intersect(left, right), left, right)
 
 
 def average(left: FactoryPlan, right: FactoryPlan) -> FactoryPlan:
-    return FactoryPlan(
-        "average",
-        _intersect(left, right),
-        _range(
-            (left.range_iv.lo + right.range_iv.lo) / 2,
-            (left.range_iv.hi + right.range_iv.hi) / 2,
-        ),
-        children=(left, right),
-    )
+    return _combine("average", _intersect(left, right), left, right)
 
 
 def double_plan(child: FactoryPlan, eps_prime, backend=None) -> FactoryPlan:
@@ -392,12 +378,18 @@ def series_plan(coeffs, t, eps, domain: Optional[PlanBounds] = None,
     a_N * t**N, which accepts with probability (eps/t) * f(q); the final
     rescale by t/eps is the returned node's parent ScalarMul.
     """
+    if child is None:
+        child = identity_plan(domain if domain is not None else UNIVERSAL)
+    core = _series_core(child, coeffs, t, eps, backend)
+    return scalar_mul_plan(core.get("t") / core.get("eps"), core, backend=backend)
+
+
+def _series_core(child: FactoryPlan, coeffs, t, eps, backend) -> FactoryPlan:
+    """The series_nonneg node, of bias (eps/t) * f(q), before its rescale."""
     t = Fraction(t)
     eps = Fraction(eps)
     if not 0 < eps < t < 1:
         raise InvalidParams("need 0 < eps < t < 1")
-    if child is None:
-        child = identity_plan(domain if domain is not None else UNIVERSAL)
     if child.range_iv.hi > t - 2 * eps:
         raise MarginViolated(
             f"series argument range reaches {child.range_iv.hi} > t - 2*eps = {t - 2 * eps}"
@@ -418,7 +410,7 @@ def series_plan(coeffs, t, eps, domain: Optional[PlanBounds] = None,
     core._cache["trial"] = constant_plan(eps / t)
     core._cache["scaled_child"] = scalar_mul_plan(1 / (t - eps), child, backend=backend)
     core._cache["level_coins"] = {}
-    return scalar_mul_plan(t / eps, core, backend=backend)
+    return core
 
 
 def series_general_plan(pos, neg, t, eps, M, domain: Optional[PlanBounds] = None,
@@ -426,6 +418,10 @@ def series_general_plan(pos, neg, t, eps, M, domain: Optional[PlanBounds] = None
     """Difference of two nonnegative series, f = g - h, with h bounded by M."""
     gp = series_plan(pos, t, eps, domain=domain, backend=backend)
     hp = series_plan(neg, t, eps, domain=domain, backend=backend)
+    return _series_general(gp, hp, M, backend)
+
+
+def _series_general(gp: FactoryPlan, hp: FactoryPlan, M, backend) -> FactoryPlan:
     M = Fraction(M)
     if hp.range_iv.hi > M:
         raise MarginViolated(f"negative part reaches {hp.range_iv.hi} > declared bound {M}")
@@ -444,38 +440,6 @@ def series_general_plan(pos, neg, t, eps, M, domain: Optional[PlanBounds] = None
 # Highest Bernstein degree tried for a raced quotient's g - f coin; each
 # toss of that coin costs `degree` raw tosses plus one constant coin.
 _RACE_MAX_DEGREE = 64
-
-_POLY_KINDS = ("complement", "product", "average", "double", "difference", "scalar_mul")
-
-
-def _plan_poly(plan: FactoryPlan) -> Optional[tuple]:
-    """Exact-backend bias of a plan as a polynomial in p, or None.
-
-    A double node counts as 2q: its margin keeps the doubling cap from
-    binding on the certified domain. Series, quotient and envelope nodes
-    have no polynomial form.
-    """
-    kind = plan.kind
-    if kind == "identity":
-        return (Fraction(0), Fraction(1))
-    if kind == "const":
-        return poly_norm((plan.get("c"),))
-    if kind not in _POLY_KINDS:
-        return None
-    kids = [_plan_poly(c) for c in plan.children]
-    if any(k is None for k in kids):
-        return None
-    if kind == "complement":
-        return poly_sub((Fraction(1),), kids[0])
-    if kind == "product":
-        return poly_mul(kids[0], kids[1])
-    if kind == "average":
-        return poly_mul((Fraction(1, 2),), poly_add(kids[0], kids[1]))
-    if kind == "double":
-        return poly_mul((Fraction(2),), kids[0])
-    if kind == "difference":
-        return poly_sub(kids[0], kids[1])
-    return poly_mul((plan.get("a"),), kids[0])
 
 
 def _race_coin(f: FactoryPlan, g: FactoryPlan) -> Optional[tuple]:
@@ -637,87 +601,7 @@ def _exact_backend(eps_prime: Fraction):
 
 
 def _exec(plan: FactoryPlan, source: CoinSource) -> int:
-    kind = plan.kind
-    if kind == "identity":
-        return source.next_bit()
-    if kind == "complement":
-        return 1 - _exec(plan.children[0], source)
-    if kind == "const":
-        prefix, cycle = plan._cache["digits"]
-        idx = 0
-        while _von_neumann(source) == 0:
-            idx += 1
-        if idx < len(prefix):
-            return prefix[idx]
-        return cycle[(idx - len(prefix)) % len(cycle)]
-    if kind == "product":
-        # both children always run; the AND is taken afterwards
-        left = _exec(plan.children[0], source)
-        right = _exec(plan.children[1], source)
-        return left & right
-    if kind == "average":
-        pick = _von_neumann(source)
-        return _exec(plan.children[0] if pick else plan.children[1], source)
-    if kind == "double":
-        backend = plan.get("backend")
-        if backend is None:
-            raise BackendRequired("double node executed without a backend")
-        feed = PlanSource(plan.children[0], source)
-        if backend[0] == "approx":
-            return approx_double_bit(WalkConfig(backend[1]), feed).bit
-        schedule, ctx = _exact_backend(plan.get("eps_prime"))
-        return simulate(schedule, feed, ctx).bit
-    if kind == "series_nonneg":
-        return _exec_series(plan, source)
-    if kind == "quotient" and "race" in plan._cache:
-        return _exec_race(plan, source)
-    if kind == "envelope":
-        schedule = plan._cache.get("schedule")
-        if schedule is None:
-            schedule = resolve_schedule_ref(plan.get("ref"))
-            plan._cache["schedule"] = schedule
-        ctx = plan._cache.setdefault("ctx", RankContext(schedule))
-        return simulate(schedule, source, ctx).bit
-    impl = plan._cache.get("impl")
-    if impl is None:
-        raise InvalidParams(f"no executor for plan kind {kind!r}")
-    return _exec(impl, source)
-
-
-def _exec_series(plan: FactoryPlan, source: CoinSource) -> int:
-    t = plan.get("t")
-    coeffs = plan.get("coeffs")
-    level = 0
-    while _exec(plan._cache["trial"], source) == 0:
-        level += 1
-    out = 1
-    scaled = plan._cache["scaled_child"]
-    for _ in range(level):
-        out &= _exec(scaled, source)
-    coins = plan._cache["level_coins"]
-    if level not in coins:
-        c = coeffs.coeff(level) * t ** level
-        if c > 1:
-            raise DivergenceRisk(f"coefficient coin a_{level} * t**{level} = {c} exceeds 1")
-        coins[level] = constant_plan(c)
-    out &= _exec(coins[level], source)
-    return out
-
-
-def _exec_race(plan: FactoryPlan, source: CoinSource) -> int:
-    f = plan.children[0]
-    _, h_coins = plan._cache["race"]
-    degree = len(h_coins) - 1
-    while True:
-        if _von_neumann(source):
-            if _exec(f, source):
-                return 1
-        else:
-            ones = 0
-            for _ in range(degree):
-                ones += source.next_bit()
-            if _exec(h_coins[ones], source):
-                return 0
+    return _KINDS[plan.kind].run(plan, source)
 
 
 def run_plan(plan: FactoryPlan, source: CoinSource) -> OutcomeRecord:
@@ -727,7 +611,7 @@ def run_plan(plan: FactoryPlan, source: CoinSource) -> OutcomeRecord:
     return OutcomeRecord(bit, source.tosses_consumed - start)
 
 
-# --- exact bias intervals ----------------------------------------------------
+# --- exact bias intervals and polynomials --------------------------------------
 
 
 def plan_bias_interval(plan: FactoryPlan, p: Fraction) -> tuple[Fraction, Fraction]:
@@ -739,59 +623,30 @@ def plan_bias_interval(plan: FactoryPlan, p: Fraction) -> tuple[Fraction, Fracti
     interval through f/(f+h) with its exact h-coin, so a walk in the
     denominator never widens it.
     """
-    p = Fraction(p)
-    kind = plan.kind
-    if kind == "identity":
-        return p, p
-    if kind == "const":
-        c = plan.get("c")
-        return c, c
-    if kind == "complement":
-        lo, hi = plan_bias_interval(plan.children[0], p)
-        return 1 - hi, 1 - lo
-    if kind == "product":
-        llo, lhi = plan_bias_interval(plan.children[0], p)
-        rlo, rhi = plan_bias_interval(plan.children[1], p)
-        return llo * rlo, lhi * rhi
-    if kind == "average":
-        llo, lhi = plan_bias_interval(plan.children[0], p)
-        rlo, rhi = plan_bias_interval(plan.children[1], p)
-        return (llo + rlo) / 2, (lhi + rhi) / 2
-    if kind == "double":
-        qlo, qhi = plan_bias_interval(plan.children[0], p)
-        eps_prime = plan.get("eps_prime")
-        backend = plan.get("backend")
-        cap = 1 - 2 * eps_prime
-        if backend is not None and backend[0] == "approx":
-            steps = backend[1]
-            undershoot = walk_error_bound(steps, qhi)
-            return max(Fraction(0), 2 * qlo - undershoot), min(2 * qhi, Fraction(1))
-        return min(2 * qlo, cap), min(2 * qhi, cap)
-    if kind == "series_nonneg":
-        t = plan.get("t")
-        eps = plan.get("eps")
-        coeffs = plan.get("coeffs")
-        # exact-backend series acceptance is (eps/t) * f(q) exactly; with an
-        # approx backend the thinned child bias interval widens instead
-        scaled = plan._cache["scaled_child"]
-        slo, shi = plan_bias_interval(scaled, p)
-        flo = coeffs.sum_bounds((t - eps) * slo)[0]
-        fhi = coeffs.sum_bounds((t - eps) * shi)[1]
-        return eps / t * flo, eps / t * fhi
-    if kind == "quotient" and "race" in plan._cache:
-        # the h-coin is exact and the race's bias f/(f+h) grows with f
-        flo, fhi = plan_bias_interval(plan.children[0], p)
-        h = poly_eval(plan._cache["race"][0], p)
-        if flo + h == 0:
-            # neither coin can show 1 at this p (outside the certified domain)
-            return Fraction(0), Fraction(1)
-        return flo / (flo + h), fhi / (fhi + h)
-    if kind == "envelope":
-        return plan.range_iv.lo, plan.range_iv.hi
+    return _bias(plan, Fraction(p), {})
+
+
+def _bias(plan: FactoryPlan, p: Fraction, known: dict) -> tuple[Fraction, Fraction]:
+    # known maps id(node) to an interval already computed at this p
+    if id(plan) in known:
+        return known[id(plan)]
     impl = plan._cache.get("impl")
-    if impl is None:
-        raise InvalidParams(f"no bias rule for plan kind {kind!r}")
-    return plan_bias_interval(impl, p)
+    if impl is not None:
+        # an expanded node is its expansion, which holds the children
+        return _bias(impl, p, known)
+    kids = [_bias(c, p, known) for c in plan.children]
+    return _KINDS[plan.kind].bias(plan, p, kids)
+
+
+def _plan_poly(plan: FactoryPlan) -> Optional[tuple]:
+    """Exact-backend bias of a plan as a polynomial in p, or None."""
+    poly = _KINDS[plan.kind].poly
+    if poly is None:
+        return None
+    kids = [_plan_poly(c) for c in plan.children]
+    if any(k is None for k in kids):
+        return None
+    return poly(plan, kids)
 
 
 # --- serialization -----------------------------------------------------------
@@ -846,15 +701,16 @@ def _bounds_from_json(d: dict) -> PlanBounds:
     return PlanBounds(Fraction(d["lo"]), Fraction(d["hi"]), d["source"])
 
 
-def _backend_from_json(v):
-    if v is None:
-        return None
-    return _check_backend(tuple(v))
-
-
 def _node_from_json(d: dict) -> FactoryPlan:
-    node = _rebuild_node(d)
-    stored = _bounds_from_json(d["range"])
+    try:
+        kind = _KINDS.get(d["kind"])
+        if kind is None:
+            raise InvalidParams(f"unknown plan kind {d['kind']!r}")
+        kids = [_node_from_json(c) for c in d["children"]]
+        stored = _bounds_from_json(d["range"])
+        node = kind.load(kids, d["data"], _bounds_from_json(d["domain"]), stored)
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise InvalidParams(f"malformed plan node: {e!r}") from e
     # declared ranges are caller certificates, not derivable from the
     # children; reconstruction must restore them or parent margin checks
     # would re-run against the looser propagated bounds and fail
@@ -863,69 +719,209 @@ def _node_from_json(d: dict) -> FactoryPlan:
     return node
 
 
-def _rebuild_node(d: dict) -> FactoryPlan:
-    kind = d["kind"]
-    dom = _bounds_from_json(d["domain"])
-    children = [_node_from_json(c) for c in d.get("children", [])]
-    data = d.get("data", {})
-    if kind == "identity":
-        return identity_plan(dom)
-    if kind == "const":
-        return constant_plan(Fraction(data["c"]), domain=dom)
-    if kind == "complement":
-        return complement(children[0])
-    if kind == "product":
-        return product(children[0], children[1])
-    if kind == "average":
-        return average(children[0], children[1])
-    if kind == "double":
-        return double_plan(children[0], Fraction(data["eps_prime"]),
-                           _backend_from_json(data.get("backend")))
-    if kind == "difference":
-        return difference_plan(children[0], children[1], Fraction(data["margin"]),
-                               _backend_from_json(data.get("backend")))
-    if kind == "scalar_mul":
-        return scalar_mul_plan(Fraction(data["a"]), children[0], Fraction(data["margin"]),
-                               _backend_from_json(data.get("backend")))
-    if kind == "series_nonneg":
-        spec = data["coeffs"]
-        if not (isinstance(spec, dict) and spec.get("kind") == "constant"):
-            raise InvalidParams("only constant coefficient streams can be loaded")
-        # the stored node is the core; rebuild through series_plan and unwrap
-        rebuilt = series_plan(ConstantCoeffs(Fraction(spec["value"])), Fraction(data["t"]),
-                              Fraction(data["eps"]), child=children[0],
-                              backend=_backend_from_json(data.get("backend")))
-        return _series_core_of(rebuilt)
-    if kind == "series_general":
-        backend = _backend_from_json(data.get("backend"))
-        gp, hp = children
-        impl = difference_plan(gp, hp, backend=backend)
-        plan = FactoryPlan("series_general", impl.domain, impl.range_iv,
-                           children=(gp, hp),
-                           data=(("M", Fraction(data["M"])), ("backend", backend)))
-        plan._cache["impl"] = impl
-        return plan
-    if kind == "quotient":
-        rng = _bounds_from_json(d["range"])
-        return quotient_plan(children[0], children[1], Fraction(data["eps"]),
-                             Fraction(data["M"]), _backend_from_json(data.get("backend")),
-                             quot_range=(rng.lo, rng.hi))
-    if kind == "envelope":
-        ref = data.get("ref")
-        if ref in (None, "opaque"):
-            raise InvalidParams("opaque envelope nodes cannot be reloaded")
-        return envelope_plan(resolve_schedule_ref(ref), ref=ref, domain=dom)
-    raise InvalidParams(f"unknown plan kind {kind!r}")
-
-
-def _series_core_of(scalar_node: FactoryPlan) -> FactoryPlan:
-    # series_plan returns ScalarMul(rescale, core); peel back to the core
-    return scalar_node.children[0]
-
-
 def load_plan(path) -> FactoryPlan:
+    """Rebuild a saved plan through its constructors and check its hash."""
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
-    if doc.get("format") != _FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise InvalidParams(f"not a plan file: {path}")
-    return _node_from_json(doc["root"])
+    plan = _node_from_json(doc.get("root"))
+    if plan_hash(plan) != doc.get("hash"):
+        raise InvalidParams(f"stored hash does not match the rebuilt plan: {path}")
+    return plan
+
+
+# --- the node kinds ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Every rule of one node kind.
+
+    run(plan, source) draws one bit. bias(plan, p, kid_intervals) is the
+    node's exact bias interval at p; None for kinds that always expand and
+    are bounded through _cache["impl"]. poly(plan, kid_polys) is the exact
+    bias as a polynomial in p, or None. load(kids, data, domain, stored_range)
+    rebuilds the node through its constructor, so its checks run on load.
+    """
+
+    run: Callable
+    bias: Optional[Callable]
+    poly: Optional[Callable]
+    load: Callable
+
+
+def _run_const(plan: FactoryPlan, source: CoinSource) -> int:
+    prefix, cycle = plan._cache["digits"]
+    idx = 0
+    while _von_neumann(source) == 0:
+        idx += 1
+    if idx < len(prefix):
+        return prefix[idx]
+    return cycle[(idx - len(prefix)) % len(cycle)]
+
+
+def _run_double(plan: FactoryPlan, source: CoinSource) -> int:
+    backend = plan.get("backend")
+    if backend is None:
+        raise BackendRequired("double node executed without a backend")
+    feed = PlanSource(plan.children[0], source)
+    if backend[0] == "approx":
+        return approx_double_bit(WalkConfig(backend[1]), feed).bit
+    schedule, ctx = _exact_backend(plan.get("eps_prime"))
+    return simulate(schedule, feed, ctx).bit
+
+
+def _bias_double(plan: FactoryPlan, p: Fraction, kids: list) -> tuple:
+    (qlo, qhi), = kids
+    backend = plan.get("backend")
+    if backend is not None and backend[0] == "approx":
+        undershoot = walk_error_bound(backend[1], qhi)
+        return max(Fraction(0), 2 * qlo - undershoot), min(2 * qhi, Fraction(1))
+    cap = 1 - 2 * plan.get("eps_prime")
+    return min(2 * qlo, cap), min(2 * qhi, cap)
+
+
+def _run_series(plan: FactoryPlan, source: CoinSource) -> int:
+    t = plan.get("t")
+    level = 0
+    while _exec(plan._cache["trial"], source) == 0:
+        level += 1
+    out = 1
+    scaled = plan._cache["scaled_child"]
+    for _ in range(level):
+        out &= _exec(scaled, source)
+    coins = plan._cache["level_coins"]
+    if level not in coins:
+        c = plan.get("coeffs").coeff(level) * t ** level
+        if c > 1:
+            raise DivergenceRisk(f"coefficient coin a_{level} * t**{level} = {c} exceeds 1")
+        coins[level] = constant_plan(c)
+    out &= _exec(coins[level], source)
+    return out
+
+
+def _bias_series(plan: FactoryPlan, p: Fraction, kids: list) -> tuple:
+    t = plan.get("t")
+    eps = plan.get("eps")
+    coeffs = plan.get("coeffs")
+    # exact-backend series acceptance is (eps/t) * f(q) exactly; with an
+    # approx backend the thinned child bias interval widens instead
+    slo, shi = _bias(plan._cache["scaled_child"], p, {id(plan.children[0]): kids[0]})
+    flo = coeffs.sum_bounds((t - eps) * slo)[0]
+    fhi = coeffs.sum_bounds((t - eps) * shi)[1]
+    return eps / t * flo, eps / t * fhi
+
+
+def _load_series(kids: list, data: dict, domain: PlanBounds, stored: PlanBounds) -> FactoryPlan:
+    spec = data["coeffs"]
+    if not (isinstance(spec, dict) and spec.get("kind") == "constant"):
+        raise InvalidParams("only constant coefficient streams can be loaded")
+    return _series_core(*kids, coeffs=ConstantCoeffs(Fraction(spec["value"])),
+                        t=Fraction(data["t"]), eps=Fraction(data["eps"]), backend=data["backend"])
+
+
+def _run_quotient(plan: FactoryPlan, source: CoinSource) -> int:
+    race = plan._cache.get("race")
+    if race is None:
+        return _exec(plan._cache["impl"], source)
+    f = plan.children[0]
+    h_coins = race[1]
+    degree = len(h_coins) - 1
+    while True:
+        if _von_neumann(source):
+            if _exec(f, source):
+                return 1
+        else:
+            ones = 0
+            for _ in range(degree):
+                ones += source.next_bit()
+            if _exec(h_coins[ones], source):
+                return 0
+
+
+def _bias_race(plan: FactoryPlan, p: Fraction, kids: list) -> tuple:
+    # the h-coin is exact and the race's bias f/(f+h) grows with f
+    flo, fhi = kids[0]
+    h = poly_eval(plan._cache["race"][0], p)
+    if flo + h == 0:
+        # neither coin can show 1 at this p (outside the certified domain)
+        return Fraction(0), Fraction(1)
+    return flo / (flo + h), fhi / (fhi + h)
+
+
+def _run_envelope(plan: FactoryPlan, source: CoinSource) -> int:
+    schedule = plan._cache["schedule"]
+    ctx = plan._cache.setdefault("ctx", RankContext(schedule))
+    return simulate(schedule, source, ctx).bit
+
+
+def _load_envelope(kids: list, data: dict, domain: PlanBounds, stored: PlanBounds) -> FactoryPlan:
+    ref = data["ref"]
+    if ref in (None, "opaque"):
+        raise InvalidParams("opaque envelope nodes cannot be reloaded")
+    return envelope_plan(resolve_schedule_ref(ref), ref=ref, domain=domain)
+
+
+def _run_impl(plan: FactoryPlan, source: CoinSource) -> int:
+    return _exec(plan._cache["impl"], source)
+
+
+# each entry lists run, bias, poly and load in that order
+_KINDS: dict[str, _Kind] = {
+    "identity": _Kind(
+        lambda plan, source: source.next_bit(),
+        lambda plan, p, kids: (p, p),
+        lambda plan, kids: (Fraction(0), Fraction(1)),
+        lambda kids, data, domain, stored: identity_plan(domain)),
+    "const": _Kind(
+        _run_const,
+        lambda plan, p, kids: (plan.get("c"), plan.get("c")),
+        lambda plan, kids: poly_norm((plan.get("c"),)),
+        lambda kids, data, domain, stored: constant_plan(Fraction(data["c"]), domain)),
+    "complement": _Kind(
+        lambda plan, source: 1 - _exec(plan.children[0], source),
+        lambda plan, p, kids: (1 - kids[0][1], 1 - kids[0][0]),
+        lambda plan, kids: poly_sub((Fraction(1),), kids[0]),
+        lambda kids, data, domain, stored: complement(*kids)),
+    "product": _Kind(
+        # both children always run; the AND is taken afterwards
+        lambda plan, source: _exec(plan.children[0], source) & _exec(plan.children[1], source),
+        lambda plan, p, kids: (kids[0][0] * kids[1][0], kids[0][1] * kids[1][1]),
+        lambda plan, kids: poly_mul(kids[0], kids[1]),
+        lambda kids, data, domain, stored: product(*kids)),
+    "average": _Kind(
+        lambda plan, source: _exec(plan.children[0 if _von_neumann(source) else 1], source),
+        lambda plan, p, kids: ((kids[0][0] + kids[1][0]) / 2, (kids[0][1] + kids[1][1]) / 2),
+        lambda plan, kids: poly_mul((Fraction(1, 2),), poly_add(kids[0], kids[1])),
+        lambda kids, data, domain, stored: average(*kids)),
+    "double": _Kind(
+        _run_double, _bias_double,
+        # 2q: the margin keeps the cap from binding on the certified domain
+        lambda plan, kids: poly_mul((Fraction(2),), kids[0]),
+        lambda kids, data, domain, stored: double_plan(
+            *kids, eps_prime=Fraction(data["eps_prime"]), backend=data["backend"])),
+    "difference": _Kind(
+        _run_impl, None,
+        lambda plan, kids: poly_sub(kids[0], kids[1]),
+        lambda kids, data, domain, stored: difference_plan(
+            *kids, margin=Fraction(data["margin"]), backend=data["backend"])),
+    "scalar_mul": _Kind(
+        _run_impl, None,
+        lambda plan, kids: poly_mul((plan.get("a"),), kids[0]),
+        lambda kids, data, domain, stored: scalar_mul_plan(
+            Fraction(data["a"]), *kids, margin=Fraction(data["margin"]), backend=data["backend"])),
+    "series_nonneg": _Kind(_run_series, _bias_series, None, _load_series),
+    "series_general": _Kind(
+        _run_impl, None, None,
+        lambda kids, data, domain, stored: _series_general(
+            *kids, M=Fraction(data["M"]), backend=data["backend"])),
+    "quotient": _Kind(
+        _run_quotient, _bias_race, None,
+        lambda kids, data, domain, stored: quotient_plan(
+            *kids, eps=Fraction(data["eps"]), M=Fraction(data["M"]), backend=data["backend"],
+            quot_range=(stored.lo, stored.hi))),
+    "envelope": _Kind(
+        _run_envelope, lambda plan, p, kids: (plan.range_iv.lo, plan.range_iv.hi),
+        None, _load_envelope),
+}

@@ -371,9 +371,9 @@ def _isolate_roots(poly, lo: Fraction, hi: Fraction, width: Fraction) -> list:
     return out
 
 
-def _sharp_ratio_range(num, den, lo: Fraction, hi: Fraction) -> Interval:
+def _sharp_ratio_range(num, den, lo: Fraction, hi: Fraction, outer: Interval) -> Interval:
     """Exact-or-outer range of num/den over [lo, hi]; den must be positive
-    throughout (certified by the caller's naive interval)."""
+    throughout, and outer is a certified (naive) range of num/den there."""
     cand_lo = []
     cand_hi = []
     for x in (lo, hi):
@@ -391,10 +391,11 @@ def _sharp_ratio_range(num, den, lo: Fraction, hi: Fraction) -> Interval:
         nlo, nhi = _peval_interval(num, a, b)
         dlo, dhi = _peval_interval(den, a, b)
         if dlo <= 0:
-            # interval division unusable on this sliver; fall back to the
-            # certified global positivity of den via endpoint values
-            dlo = min(poly_eval(den, a), poly_eval(den, b))
-            dhi = max(poly_eval(den, a), poly_eval(den, b))
+            # den's enclosure is too loose on this sliver to divide by; the
+            # certified outer range holds everywhere on [lo, hi]
+            cand_lo.append(outer.lo)
+            cand_hi.append(outer.hi)
+            continue
         cands = (nlo / dlo, nlo / dhi, nhi / dlo, nhi / dhi)
         cand_lo.append(min(cands))
         cand_hi.append(max(cands))
@@ -446,7 +447,7 @@ def analyze_bounds(ast: Ast, domain: Interval) -> tuple[dict, CompileDiagnostics
     the sharp range of the quotient's rational function; margin info
     entries record the certified gaps the compiler will use.
     """
-    if not 0 < domain.lo and domain.hi < 1:
+    if not (0 < domain.lo and domain.hi < 1):
         raise InvalidParams("domain must be a closed rational interval inside (0, 1)")
     annot: dict = {}
     entries: list = []
@@ -498,16 +499,15 @@ def analyze_bounds(ast: Ast, domain: Interval) -> tuple[dict, CompileDiagnostics
                      f"denominator interval [{r.lo}, {r.hi}] contains values <= 0", r)
                 iv = Interval(Fraction(0), Fraction(1))
             else:
-                if any(e.severity == "error" for e in entries):
-                    # a breakdown elsewhere may have poisoned the polynomial
-                    # form (zero denominators); the naive quotient is still
-                    # sound here because r.lo > 0, and the earlier error
-                    # blocks compilation regardless
-                    cands = (l.lo / r.lo, l.lo / r.hi, l.hi / r.lo, l.hi / r.hi)
-                    iv = Interval(min(cands), max(cands))
-                else:
+                # the naive quotient is sound because r.lo > 0
+                cands = (l.lo / r.lo, l.lo / r.hi, l.hi / r.lo, l.hi / r.hi)
+                iv = Interval(min(cands), max(cands))
+                # a breakdown elsewhere may have poisoned the polynomial form
+                # (zero denominators); the earlier error blocks compilation
+                # regardless, so the naive quotient stands in that case
+                if not any(e.severity == "error" for e in entries):
                     num, den = _polyfrac(node)
-                    iv = _sharp_ratio_range(num, den, domain.lo, domain.hi)
+                    iv = _sharp_ratio_range(num, den, domain.lo, domain.hi, iv)
                 if iv.hi >= 1:
                     note("error", node, f"quotient can reach {iv.hi} >= 1 on the domain", iv)
                 else:

@@ -170,6 +170,21 @@ def poly_eval(a, x: Fraction) -> Fraction:
     return acc
 
 
+def bernstein_value(values, x: Fraction) -> Fraction:
+    """Sum of values[k] * binom(n, k) * x**k * (1-x)**(n-k), n = len(values) - 1, exactly."""
+    n = len(values) - 1
+    y = 1 - x
+    ypows = [Fraction(1)]
+    for _ in range(n):
+        ypows.append(ypows[-1] * y)
+    total = Fraction(0)
+    xpow = Fraction(1)
+    for k, v in enumerate(values):
+        total += v * comb(n, k) * xpow * ypows[n - k]
+        xpow *= x
+    return total
+
+
 def bernstein_coeffs(a, max_degree: int):
     """Bernstein coefficients of a in [0, 1], at the least degree <= max_degree.
 
@@ -216,10 +231,3 @@ def iv_add(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float
 def iv_mul(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
     products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return _down(min(products)), _up(max(products))
-
-
-def iv_div(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    if b[0] <= 0 <= b[1]:
-        raise ZeroDivisionError("interval divisor straddles zero")
-    quotients = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
-    return _down(min(quotients)), _up(max(quotients))

@@ -26,6 +26,7 @@ from typing import Callable, Optional
 from .engine import EnvelopeSchedule
 from .errors import ExponentNotFound, InvalidParams, MarginViolated
 from .numerics import (
+    bernstein_value,
     binom,
     ceil_frac_mul,
     comb,
@@ -167,18 +168,7 @@ def doubling_schedule(params: DoublingParams) -> EnvelopeSchedule:
     Above n0 the upper envelope is at most 1 by the definition of n0, so
     counts always satisfy 0 <= count_a <= count_b <= binom.
     """
-    return EnvelopeSchedule(
-        "doubling",
-        {"eps": params.eps, "C1": params.C1, "C2": params.C2, "n0": params.n0},
-        lambda j: 1 << j,
-        _doubling_counts(params),
-        ab_fn=lambda n, k: alpha_beta_doubling(params, n, k),
-        idle_below=params.n0,
-        metadata_extra={
-            "n0": params.n0,
-            "constants": {"C1": str(params.C1), "C2": str(params.C2)},
-        },
-    )
+    return _doubling_envelope(params, "doubling", params.n0, {})
 
 
 def doubling_raw_schedule(params: DoublingParams) -> EnvelopeSchedule:
@@ -189,16 +179,21 @@ def doubling_raw_schedule(params: DoublingParams) -> EnvelopeSchedule:
     convolution-consistency inequalities be verified on their own at
     small n, where the real schedule would still be idle.
     """
+    return _doubling_envelope(params, "doubling-raw", 0, {"variant": "raw"})
+
+
+def _doubling_envelope(params: DoublingParams, name: str, idle_below: int,
+                       variant: dict) -> EnvelopeSchedule:
     return EnvelopeSchedule(
-        "doubling-raw",
+        name,
         {"eps": params.eps, "C1": params.C1, "C2": params.C2, "n0": params.n0},
         lambda j: 1 << j,
         _doubling_counts(params),
         ab_fn=lambda n, k: alpha_beta_doubling(params, n, k),
-        idle_below=0,
+        idle_below=idle_below,
         metadata_extra={
             "n0": params.n0,
-            "variant": "raw",
+            **variant,
             "constants": {"C1": str(params.C1), "C2": str(params.C2)},
         },
     )
@@ -427,20 +422,6 @@ class ContinuousParams:
                 raise InvalidParams(f"level {i}: 2**-{i} must be below eps/4")
 
 
-def _bernstein_value(cvals, m: int, x: Fraction) -> Fraction:
-    """Sum of cvals[l] * binom(m,l) * x^l * (1-x)^(m-l), exactly."""
-    y = 1 - x
-    total = Fraction(0)
-    xpow = Fraction(1)
-    ypows = [Fraction(1)]
-    for _ in range(m):
-        ypows.append(ypows[-1] * y)
-    for l in range(m + 1):
-        total += cvals[l] * comb(m, l) * xpow * ypows[m - l]
-        xpow *= x
-    return total
-
-
 def continuous_schedule(params: ContinuousParams) -> EnvelopeSchedule:
     """Envelope schedule for an arbitrary continuous target on a grid certificate.
 
@@ -476,7 +457,7 @@ def continuous_schedule(params: ContinuousParams) -> EnvelopeSchedule:
             samples = [Fraction(f(Fraction(l, m))) for l in range(m + 1)]
             worst = Fraction(0)
             for x, fx in fgrid.items():
-                err = abs(_bernstein_value(samples, m, x) - fx)
+                err = abs(bernstein_value(samples, x) - fx)
                 if err > worst:
                     worst = err
             if worst < tol:

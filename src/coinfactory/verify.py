@@ -26,7 +26,7 @@ from .errors import (
     SourceExhausted,
     Undecided,
 )
-from .numerics import comb, dyadic_sqrt_upper
+from .numerics import bernstein_value, comb, dyadic_sqrt_upper
 from .walk import WalkConfig, approx_double_bit
 
 MAX_ORACLE_DEPTH = 20
@@ -89,24 +89,6 @@ class FeasibilityResult:
 # --- exhaustive tape oracle --------------------------------------------------
 
 
-def _target_runner(target: Target):
-    """Uniform run interface: tape source in, output bit out."""
-    if isinstance(target, EnvelopeSchedule):
-        ctx = RankContext(target)
-
-        def run(tape: CoinSource) -> int:
-            return simulate(target, tape, ctx).bit
-
-        return run
-    if isinstance(target, FactoryPlan):
-        return lambda tape: run_plan(target, tape).bit
-    if isinstance(target, WalkConfig):
-        return lambda tape: approx_double_bit(target, tape).bit
-    if callable(target):
-        return lambda tape: target(tape).bit
-    raise InvalidParams(f"cannot run target of type {type(target).__name__}")
-
-
 def oracle_enumerate(target: Target, depth: int, p) -> tuple[Fraction, Fraction]:
     """Classify every depth-bit tape; exact accept and undecided masses.
 
@@ -121,7 +103,7 @@ def oracle_enumerate(target: Target, depth: int, p) -> tuple[Fraction, Fraction]
     p = Fraction(p)
     if not 0 < p < 1:
         raise InvalidParams("p must lie strictly inside (0, 1)")
-    run = _target_runner(target)
+    run = _replica_runner(target, None)
     a, b = p.numerator, p.denominator
     c = b - a
     pa = [1] * (depth + 1)
@@ -135,7 +117,7 @@ def oracle_enumerate(target: Target, depth: int, p) -> tuple[Fraction, Fraction]
         bits = [(m >> (depth - 1 - j)) & 1 for j in range(depth)]
         tape = TapeSource(bits)
         try:
-            bit = run(tape)
+            bit = run(tape).bit
         except (SourceExhausted, Undecided):
             bit = None
         ones = m.bit_count()
@@ -162,17 +144,7 @@ def bernstein_eval(f: Callable[[Fraction], object], n: int, x) -> Fraction:
     """Degree-n Bernstein polynomial of f at x, exact."""
     if n < 1:
         raise InvalidParams("degree must be at least 1")
-    x = Fraction(x)
-    y = 1 - x
-    total = Fraction(0)
-    xp = Fraction(1)
-    ypows = [Fraction(1)] * (n + 1)
-    for j in range(1, n + 1):
-        ypows[j] = ypows[j - 1] * y
-    for k in range(n + 1):
-        total += Fraction(f(Fraction(k, n))) * comb(n, k) * xp * ypows[n - k]
-        xp *= x
-    return total
+    return bernstein_value([Fraction(f(Fraction(k, n))) for k in range(n + 1)], Fraction(x))
 
 
 def feasibility_check(f: Callable[[Fraction], object], grid: Sequence,

@@ -5,6 +5,7 @@ exact; execution checks run against tapes or the exhaustive oracle so they
 stay deterministic.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,11 @@ import pytest
 from coinfactory import (
     CallbackCoeffs,
     ConstantCoeffs,
+    Interval,
     TapeSource,
     average,
+    bounds,
+    compile_to_plan,
     complement,
     constant_plan,
     difference_plan,
@@ -23,6 +27,7 @@ from coinfactory import (
     load_plan,
     monomial_schedule,
     oracle_enumerate,
+    parse,
     plan_bias_interval,
     plan_hash,
     plan_to_json,
@@ -32,12 +37,14 @@ from coinfactory import (
     run_plan,
     save_plan,
     scalar_mul_plan,
+    series_general_plan,
     series_plan,
     sum_plan,
     von_neumann_bit,
     walk_bias_exact,
     with_range,
 )
+from coinfactory.combinators import _KINDS
 from coinfactory.errors import (
     BackendRequired,
     DivergenceRisk,
@@ -232,8 +239,27 @@ def all_node_kinds():
         quotient_plan(constant_plan(Fraction(1, 5)), constant_plan(Fraction(2, 5)),
                       Fraction(3, 10), Fraction(3, 5), backend=("exact",)),
         envelope_plan(monomial_schedule(2), ref="monomial:2"),
+        series_general_plan(ConstantCoeffs(Fraction(1, 8)), ConstantCoeffs(Fraction(1, 64)),
+                            Fraction(1, 2), Fraction(1, 16), Fraction(1, 2),
+                            domain=bounds(Fraction(1, 10), Fraction(1, 5)), backend=("exact",)),
+        # 2p / (p + 1/2): h = 1/2 - p has no Bernstein form, so the chain runs
+        quotient_plan(scalar_mul_plan(2, ident, backend=("exact",)),
+                      sum_plan(ident, constant_plan(Fraction(1, 2)), Fraction(1, 10),
+                               backend=("exact",)),
+                      Fraction(1, 9), Fraction(9, 10), backend=("exact",),
+                      quot_range=(Fraction(1, 3), Fraction(8, 9))),
+        # a raced quotient whose h-coin has degree 2
+        compile_to_plan(parse("p / (1/2 + p^2)"), Interval(Fraction(1, 10), Fraction(2, 5)),
+                        backend=("exact",)),
+        # the series node itself, without the rescale series_plan puts above it
+        series_plan(ConstantCoeffs(Fraction(1, 8)), Fraction(1, 2), Fraction(1, 8),
+                    child=constant_plan(Fraction(1, 4)), backend=("exact",)).children[0],
     ]
     return plans
+
+
+def test_all_node_kinds_cover_the_kind_table():
+    assert {plan.kind for plan in all_node_kinds()} == set(_KINDS)
 
 
 def test_round_trip_preserves_hash_and_interval(tmp_path):
@@ -244,6 +270,40 @@ def test_round_trip_preserves_hash_and_interval(tmp_path):
         back = load_plan(path)
         assert plan_hash(back) == plan_hash(plan), plan.kind
         assert plan_bias_interval(back, p) == plan_bias_interval(plan, p), plan.kind
+
+
+def _saved_plus_fifth(tmp_path):
+    plan = compile_to_plan(parse("p + 1/5"), Interval(Fraction(1, 10), Fraction(2, 5)),
+                           backend=("approx", 64))
+    path = tmp_path / "plus_fifth.json"
+    save_plan(plan, path)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("stored_hash", ["kept", "zeroed"])
+def test_load_rejects_rewritten_range(tmp_path, stored_hash):
+    # the true bias of p + 1/5 reaches 3/5; a file claiming [3/10, 2/5]
+    # would let a parent certify what does not hold
+    path, doc = _saved_plus_fifth(tmp_path)
+    assert load_plan(path).range_iv.hi == Fraction(3, 5)
+    doc["root"]["range"]["hi"] = "2/5"
+    if stored_hash == "zeroed":
+        doc["hash"] = "0" * 64
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidParams):
+        load_plan(path)
+
+
+@pytest.mark.parametrize("field", ["kind", "data", "range"])
+def test_load_rejects_malformed_nodes(tmp_path, field):
+    path, doc = _saved_plus_fifth(tmp_path)
+    if field == "kind":
+        doc["root"]["children"][0]["kind"] = "mystery"
+    else:
+        del doc["root"]["children"][0][field]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidParams):
+        load_plan(path)
 
 
 def test_plan_hash_is_frozen():

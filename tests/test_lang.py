@@ -25,7 +25,12 @@ from coinfactory.lang import (
     Pow,
     Sub,
     VarP,
+    _isolate_roots,
+    _pderiv,
+    _peval_interval,
+    _sharp_ratio_range,
 )
+from coinfactory.numerics import poly_eval, poly_mul, poly_sub
 
 DOM = Interval(Fraction(1, 10), Fraction(2, 5))
 
@@ -186,6 +191,34 @@ def test_analysis_domain_validation():
         analyze_bounds(parse("p"), Interval(Fraction(0), Fraction(1, 2)))
     with pytest.raises(InvalidParams):
         Interval(Fraction(2, 5), Fraction(1, 10))
+
+
+def test_analysis_domain_must_lie_inside_unit_interval():
+    # the domain check once parsed as (not 0 < lo) and hi < 1, so an upper
+    # end past 1 slipped through
+    for lo, hi in ((Fraction(1, 10), Fraction(3, 2)), (Fraction(0), Fraction(1, 2))):
+        with pytest.raises(InvalidParams):
+            analyze_bounds(parse("p / 2"), Interval(lo, hi))
+        with pytest.raises(InvalidParams):
+            compile_to_plan(parse("p / 2"), Interval(lo, hi))
+
+
+def test_sharp_ratio_fallback_bounds_whole_sliver():
+    # den = K (p - 1/4)^2 + 1 is at least 1, but its Horner enclosure on the
+    # sliver around the critical point of p / den near 1/4 dips below 0; the
+    # range must still cover p / den at p = 1/4, which is 1/4
+    K = Fraction(1 << 52)
+    num = (Fraction(0), Fraction(1))
+    den = (K / 16 + 1, -K / 2, K)
+    lo, hi = Fraction(1, 8), Fraction(1, 2)
+    outer = Interval(Fraction(0), hi)  # 0 <= p / den <= p on [lo, hi]
+    crit = poly_sub(poly_mul(_pderiv(num), den), poly_mul(num, _pderiv(den)))
+    slivers = [(a, b) for a, b in _isolate_roots(crit, lo, hi, (hi - lo) / (1 << 45))
+               if a < b and _peval_interval(den, a, b)[0] <= 0]
+    assert slivers  # the fallback branch runs
+    iv = _sharp_ratio_range(num, den, lo, hi, outer)
+    assert iv.lo <= lo / poly_eval(den, lo)
+    assert iv.hi >= Fraction(1, 4)
 
 
 def _eval(node, p: Fraction) -> Fraction:
