@@ -776,7 +776,11 @@ def _bias_double(plan: FactoryPlan, p: Fraction, kids: list) -> tuple:
     (qlo, qhi), = kids
     backend = plan.get("backend")
     if backend is not None and backend[0] == "approx":
-        undershoot = walk_error_bound(backend[1], qhi)
+        try:
+            undershoot = walk_error_bound(backend[1], qhi)
+        except ValueError:
+            raise InvalidParams(f"walk doubling bound needs its child's bias below 1/2; "
+                                f"at p = {p} the child's bias reaches {qhi}") from None
         return max(Fraction(0), 2 * qlo - undershoot), min(2 * qhi, Fraction(1))
     cap = 1 - 2 * plan.get("eps_prime")
     return min(2 * qlo, cap), min(2 * qhi, cap)

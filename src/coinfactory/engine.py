@@ -140,7 +140,9 @@ def word_lexrank(word: Sequence[int]) -> int:
 
 
 # cached per-(jump, k) tables are only built below this checkpoint size;
-# larger jumps stream their convolution sums without keeping rows
+# larger jumps stream their convolution sums without keeping rows. From an
+# idle level that stream is the hypergeometric term ratio (_idle_prefix),
+# so a jump costs one big-by-small multiply and divide per term walked.
 _CACHE_LIMIT = 1 << 14
 _SNAPSHOT_STRIDE = 16
 
@@ -222,19 +224,28 @@ class _LevelData:
         return cum
 
     def _idle_prefix(self, i: int) -> int:
-        # sum_{i' < i} binom(m, i') binom(d, k - i'), streamed
+        # sum_{i' < i} t(i'), t(i') = binom(m, i') binom(d, k - i'), streamed by
+        # the term ratio t(i'+1) / t(i') = (m - i')(k - i') / ((i'+1)(d - k + i'+1)),
+        # one big-by-small multiply and one exact small divide per term. The
+        # walk starts at the nearer end of [ilo, ihi]; from the far end the
+        # prefix is total - tail, total = binom(n, k) by Vandermonde.
         if i in self._memo:
             return self._memo[i]
         m, d, k = self.m, self.d, self.k
-        ilo = self._ilo
-        cum = 0
-        cval = _bigcomb(d, k - ilo)
-        bval = _bigcomb(m, ilo)
-        for ip in range(ilo, i):
-            cum += bval * cval
-            if ip + 1 <= self._ihi:
-                cval = cval * (k - ip) // (d - k + ip + 1)
-                bval = bval * (m - ip) // (ip + 1)
+        ilo, ihi = self._ilo, self._ihi
+        if i - ilo <= ihi + 1 - i:
+            cum = 0
+            t = _bigcomb(d, k) if ilo == 0 else _bigcomb(m, ilo)
+            for ip in range(ilo, i):
+                cum += t
+                t = t * ((m - ip) * (k - ip)) // ((ip + 1) * (d - k + ip + 1))
+        else:
+            tail = 0
+            t = _bigcomb(m, k) if ihi == k else _bigcomb(d, k - m)
+            for ip in range(ihi, i - 1, -1):
+                tail += t
+                t = t * (ip * (d - k + ip)) // ((m - ip + 1) * (k - ip + 1))
+            cum = self.total - tail
         self._memo[i] = cum
         return cum
 
@@ -381,6 +392,15 @@ def envelope_eval(
     schedule's rational envelope values and an outward-rounded binomial
     weight recurrence; count rounding contributes at most
     sum_k p^k (1-p)^(n-k), which is folded into the bounds.
+
+    The weight recurrence walks outward from the mode and each side stops
+    once its weight falls below 2**-70 (see _pmf_walk), so only a few
+    thousand k are visited at n = 2**17. The weights it skips sum to at
+    most a certified geometric tail w r / (1 - r), which is added to the
+    upper ends of g and h. That is sound only when 0 <= alpha <= beta <= 1
+    for every k, which holds for every schedule in the bounds class;
+    doubling_raw_schedule below n0 is not in it. A visited pair outside
+    that range raises InvalidSchedule.
     """
     p = Fraction(p)
     if not 0 < p < 1:
@@ -427,18 +447,23 @@ def _eval_float(schedule: EnvelopeSchedule, p: Fraction, n: int) -> EnvelopeValu
     q = 1 - p
     # anchored binomial pmf recurrence in outward-rounded double intervals
     k_star = min(n, int((n + 1) * p))
-    w_star = Fraction(_bigcomb(n, k_star)) * p ** k_star * q ** (n - k_star)
-    ratio = p / q
+    # int / int rounds correctly, as float(Fraction) does, without the gcd
+    num, den = p.numerator, p.denominator
+    w_star = _bigcomb(n, k_star) * num ** k_star * (den - num) ** (n - k_star) / den ** n
+    w_iv = (math.nextafter(w_star, -math.inf), math.nextafter(w_star, math.inf))
     glo = ghi = hlo = hhi = 0.0
-    w_iv = iv_from_fraction(w_star)
-    for k, wv in _pmf_walk(n, k_star, w_iv, ratio):
-        ab = schedule.ab_values(n, k)
-        alpha_iv = iv_from_fraction(ab[0])
-        beta_iv = iv_from_fraction(ab[1])
-        gterm = iv_mul(alpha_iv, wv)
-        hterm = iv_mul(beta_iv, wv)
-        glo, ghi = iv_add((glo, ghi), gterm)
-        hlo, hhi = iv_add((hlo, hhi), hterm)
+    points, tail = _pmf_walk(n, k_star, w_iv, p / q)
+    for k, wv in points:
+        alpha, beta = schedule.ab_values(n, k)
+        if not 0 <= alpha <= beta <= 1:
+            raise InvalidSchedule(n, k, f"envelope pair ({alpha}, {beta}) "
+                                        "outside 0 <= alpha <= beta <= 1")
+        glo, ghi = iv_add((glo, ghi), iv_mul(iv_from_fraction(alpha), wv))
+        hlo, hhi = iv_add((hlo, hhi), iv_mul(iv_from_fraction(beta), wv))
+    if tail:
+        # the weights the walk skipped carry alpha and beta in [0, 1]
+        ghi = math.nextafter(ghi + tail, math.inf)
+        hhi = math.nextafter(hhi + tail, math.inf)
     slack = _rounding_slack(p, q, n)
     # count_a = floor(alpha * binom) lies in [alpha - 1/binom, alpha]
     glo -= slack
@@ -448,28 +473,42 @@ def _eval_float(schedule: EnvelopeSchedule, p: Fraction, n: int) -> EnvelopeValu
     return EnvelopeValues(g, h, (ghi - glo) * 0.5 + slack, (hhi - hlo) * 0.5 + slack)
 
 
+# a side of the pmf walk may stop once its weight's upper end is below this
+_TAIL_CUTOFF = 2.0 ** -70
+
+
 def _pmf_walk(n, k_star, w_star_iv, ratio):
-    """Yield (k, weight interval) from the anchor outward, both directions."""
+    """Binomial weight intervals from the anchor outward, and a bound on the rest.
+
+    Returns ([(k, weight interval)], tail), k_star first, then up to n, then
+    down to 0. A side stops at k once the weight's upper end w is below
+    _TAIL_CUTOFF and the upper end r of the step ratio to the next k is
+    below 1. The pmf is log-concave, so step ratios only fall further out
+    and the weights left on that side sum to at most w r / (1 - r); tail is
+    the sum of these bounds, rounded up.
+    """
     up = iv_from_fraction(ratio)
     down = iv_from_fraction(1 / ratio)
-    wv = w_star_iv
-    k = k_star
-    while True:
-        yield k, wv
-        if wv[1] == 0.0 or k == n:
-            break
-        step = iv_from_fraction(Fraction(n - k, k + 1))
-        wv = iv_mul(iv_mul(wv, step), up)
-        k += 1
-    wv = w_star_iv
-    k = k_star
-    while k > 0:
-        step = iv_from_fraction(Fraction(k, n - k + 1))
-        wv = iv_mul(iv_mul(wv, step), down)
-        k -= 1
-        if wv[1] == 0.0:
-            break
-        yield k, wv
+    points = [(k_star, w_star_iv)]
+    tail = 0.0
+    for sign in (1, -1):
+        wv, k = w_star_iv, k_star
+        while 0 <= k + sign <= n:
+            if sign > 0:
+                step, move = iv_from_fraction(Fraction(n - k, k + 1)), up
+            else:
+                step, move = iv_from_fraction(Fraction(k, n - k + 1)), down
+            if wv[1] < _TAIL_CUTOFF:
+                r = iv_mul(step, move)[1]
+                if r < 1.0:
+                    wr = math.nextafter(wv[1] * r, math.inf)
+                    rest = math.nextafter(wr / math.nextafter(1.0 - r, -math.inf), math.inf)
+                    tail = math.nextafter(tail + rest, math.inf)
+                    break
+            wv = iv_mul(iv_mul(wv, step), move)
+            k += sign
+            points.append((k, wv))
+    return points, tail
 
 
 def _rounding_slack(p: Fraction, q: Fraction, n: int) -> float:

@@ -121,6 +121,21 @@ def test_verify_plan_bias_interval_overlaps_bracket(tmp_path, capsys):
     assert "plan bias interval [1/9, 1/9]" in text
 
 
+def test_verify_walk_doubler_outside_its_bound_is_one_error_line(tmp_path, capsys):
+    # the chain quotient doubles a child whose bias reaches 1/2 at p = 1/2,
+    # where the walk's undershoot bound does not apply
+    plan_path = tmp_path / "chain.json"
+    rc, _ = run(["compile", "2*p / (p + 1/2)", "--domain", "1/10:2/5",
+                 "--backend", "approx:2000", "--out", str(plan_path)], capsys)
+    assert rc == 0
+    rc, text = run(["verify", "--plan", str(plan_path), "--depth", "4",
+                    "--p", "1/2"], capsys)
+    assert rc == 3
+    last = text.strip().splitlines()[-1]
+    assert last.startswith("error:")
+    assert "p = 1/2" in last
+
+
 # --- envelope --------------------------------------------------------------------
 
 

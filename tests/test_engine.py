@@ -4,6 +4,7 @@ Ground truth throughout is tests/helpers.py, which materializes accept and
 reject sets as literal word lists and ranks by sorted enumeration.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,9 @@ from coinfactory import (
     validate_schedule,
     word_lexrank,
 )
+from coinfactory import engine
+from coinfactory.engine import EnvelopeSchedule, _LevelData
+from coinfactory.numerics import comb
 from coinfactory.errors import InvalidSchedule, SourceExhausted, Undecided
 from coinfactory.schedules import MODE_LIPSCHITZ
 
@@ -130,6 +134,63 @@ def test_envelope_eval_float_mode_brackets_exact():
     assert abs(aprx.h - exact.h) <= aprx.h_err
 
 
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)])
+def test_envelope_eval_float_tail_cutoff_brackets_exact(n, p):
+    # at these sizes the pmf walk stops short of k = 0 or k = n on some
+    # side, so the geometric tail term is part of the bound
+    sched = smooth_schedule(lipschitz_params())
+    exact = envelope_eval(sched, p, n)
+    aprx = envelope_eval(sched, p, n, mode="float-with-bound")
+    assert abs(Fraction(aprx.g) - exact.g) <= Fraction(aprx.g_err)
+    assert abs(Fraction(aprx.h) - exact.h) <= Fraction(aprx.h_err)
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)])
+def test_envelope_eval_float_tail_term_carries_a_large_cutoff(monkeypatch, p):
+    # at 2**-70 the skipped mass is far below the interval rounding; at
+    # 2**-12 the bound holds only because of the tail term
+    monkeypatch.setattr(engine, "_TAIL_CUTOFF", 2.0 ** -12)
+    sched = smooth_schedule(lipschitz_params())
+    exact = envelope_eval(sched, p, 1024)
+    aprx = envelope_eval(sched, p, 1024, mode="float-with-bound")
+    assert abs(Fraction(aprx.g) - exact.g) <= Fraction(aprx.g_err)
+    assert abs(Fraction(aprx.h) - exact.h) <= Fraction(aprx.h_err)
+
+
+@pytest.mark.parametrize("n,p", [(64, Fraction(1, 10)), (300, Fraction(3, 10)),
+                                 (1024, Fraction(1, 2))])
+def test_pmf_walk_tail_bounds_the_skipped_weights(monkeypatch, n, p):
+    monkeypatch.setattr(engine, "_TAIL_CUTOFF", 2.0 ** -12)
+    pmf = [comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)]
+    k_star = min(n, int((n + 1) * p))
+    w = float(pmf[k_star])
+    points, tail = engine._pmf_walk(n, k_star, (math.nextafter(w, 0), math.nextafter(w, 1)),
+                                    p / (1 - p))
+    visited = {k for k, _ in points}
+    assert len(visited) == len(points) < n + 1
+    for k, (lo, hi) in points:
+        assert Fraction(lo) <= pmf[k] <= Fraction(hi)
+    assert 0 < sum(pmf[k] for k in range(n + 1) if k not in visited) <= Fraction(tail)
+
+
+def test_envelope_eval_float_visits_fewer_weights_than_the_row():
+    sched = smooth_schedule(lipschitz_params())
+    visited = []
+    ab_values = sched.ab_values
+    sched.ab_values = lambda n, k: visited.append(k) or ab_values(n, k)
+    envelope_eval(sched, Fraction(3, 10), 4096, mode="float-with-bound")
+    assert len(visited) < 4096 + 1
+
+
+def test_envelope_eval_float_rejects_pair_outside_unit_interval():
+    stub = EnvelopeSchedule("stub", {}, lambda j: 1 << j,
+                            lambda n, k, b=None: (0, comb(n, k)),
+                            ab_fn=lambda n, k: (Fraction(0), Fraction(2)))
+    with pytest.raises(InvalidSchedule):
+        envelope_eval(stub, Fraction(1, 3), 16, mode="float-with-bound")
+
+
 def test_envelope_eval_rejects_bad_arguments():
     mon = monomial_schedule(2)
     with pytest.raises(ValueError):
@@ -138,6 +199,26 @@ def test_envelope_eval_rejects_bad_arguments():
         envelope_eval(mon, Fraction(3, 2), 2)
     with pytest.raises(ValueError):
         envelope_eval(mon, Fraction(1, 3), 2, mode="fast")
+
+
+# --- idle-prefix streaming ------------------------------------------------------
+
+
+@given(st.integers(min_value=1, max_value=300).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n), st.integers(0, n))))
+def test_idle_prefix_matches_direct_vandermonde_sum(nmk):
+    n, m, k = nmk
+    # idle at every length, so the jump m -> n streams its prefix sums
+    idle = EnvelopeSchedule("idle", {}, lambda j: 1 << j, None, idle_below=1 << 20)
+    level = _LevelData(RankContext(idle), m, n, k)
+    ilo, ihi = max(0, k - (n - m)), min(m, k)
+    # i runs from below ilo to past ihi + 1, so both walk directions
+    # (from ilo, and from ihi against the total) and both edges are hit
+    direct = 0
+    for i in range(ilo - 1, ihi + 3):
+        assert level._idle_prefix(i) == direct
+        assert level.prefix_weight(i) == direct
+        direct += comb(m, i) * comb(n - m, k - i)
 
 
 # --- validation ----------------------------------------------------------------
