@@ -109,7 +109,7 @@ def cmd_compile(args) -> int:
 
 def cmd_simulate(args) -> int:
     target = _load_target(args)
-    report = monte_carlo(target, args.p, args.runs, args.seed, threads=args.threads,
+    report = monte_carlo(target, args.p, args.runs, args.seed,
                          max_tosses=args.max_tosses,
                          undecided="midpoint" if args.max_tosses else "error")
     if args.report:
@@ -200,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=_fraction, required=True)
     s.add_argument("--runs", type=int, required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--max-tosses", type=int, default=None)
     s.add_argument("--report")
     s.set_defaults(fn=cmd_simulate)

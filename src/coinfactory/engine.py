@@ -12,6 +12,7 @@ word sets, while reproducing exactly the sets whose sizes are the counts.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -21,19 +22,18 @@ from typing import Callable, Optional, Sequence
 
 from .coins import CoinSource
 from .errors import InvalidSchedule, Undecided
-from .numerics import (
-    binom as _uncached_binom,
-    comb,
-    iv_add,
-    iv_from_fraction,
-    iv_mul,
-)
+from .numerics import binom, ceil_frac_mul, floor_frac_mul, iv_add, iv_from_fraction, iv_mul
 
 
 class Decision(Enum):
     OutputOne = "one"
     OutputZero = "zero"
     Continue = "continue"
+
+
+# looking up an Enum member costs about as much as a call, and the rank
+# loop tests for Continue once per checkpoint
+_CONTINUE = Decision.Continue
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,16 @@ class OutcomeRecord:
 class EnvelopeSchedule:
     """Checkpoint sequence plus lazily evaluated integer envelope counts.
 
-    counts_fn(n, k, binom) must return exact integers (count_a, count_b);
-    the binom argument is an optional precomputed binom(n, k) so row walks
-    can thread incremental binomials instead of recomputing them. ab_fn,
-    when given, returns the unrounded rational envelope pair (alpha, beta)
-    with count_a = floor(alpha*binom), count_b = ceil(beta*binom); the
-    float-with-bound evaluator relies on it to avoid huge integers.
-    Checkpoints below idle_below are idle: counts (0, binom(n,k)).
+    ab_fn(n, k) returns the rational envelope pair (alpha, beta), and
+    counts() rounds it against b = binom(n, k) here, in one place:
+    count_a = floor(alpha*b), count_b = ceil(beta*b). The float-with-bound
+    evaluator works from (alpha, beta) and relies on exactly this rounding
+    to bound the difference from the counts. counts_fn is optional: a
+    schedule with no rational pair passes counts_fn(n, k, b) returning the
+    exact integers (count_a, count_b) instead. In both, b is an optional
+    precomputed binom(n, k), so row walks can thread incremental binomials
+    instead of recomputing them. Checkpoints below idle_below are idle:
+    counts (0, binom(n,k)).
     """
 
     def __init__(
@@ -59,7 +62,7 @@ class EnvelopeSchedule:
         name: str,
         params: dict,
         checkpoint_fn: Callable[[int], Optional[int]],
-        counts_fn,
+        counts_fn=None,
         ab_fn=None,
         idle_below: int = 0,
         metadata_extra: Optional[dict] = None,
@@ -93,11 +96,15 @@ class EnvelopeSchedule:
     def is_idle(self, n: int) -> bool:
         return n < self.idle_below
 
-    def counts(self, n: int, k: int, binom: Optional[int] = None) -> tuple[int, int]:
+    def counts(self, n: int, k: int, b: Optional[int] = None) -> tuple[int, int]:
         if self.is_idle(n):
-            b = comb(n, k) if binom is None else binom
-            return 0, b
-        return self._counts_fn(n, k, binom)
+            return 0, binom(n, k) if b is None else b
+        if self._counts_fn is not None:
+            return self._counts_fn(n, k, b)
+        if b is None:
+            b = binom(n, k)
+        alpha, beta = self._ab_fn(n, k)
+        return floor_frac_mul(alpha, b), ceil_frac_mul(beta, b)
 
     def ab_values(self, n: int, k: int) -> Optional[tuple[Fraction, Fraction]]:
         if self.is_idle(n):
@@ -120,12 +127,9 @@ def word_lexrank(word: Sequence[int]) -> int:
     Combinatorial number system, one big multiply and divide per position.
     """
     n = len(word)
-    k = 0
-    for b in word:
-        k += b
     rank = 0
-    r = k
-    c = comb(n - 1, r) if n > 0 else 1
+    r = sum(word)
+    c = binom(n - 1, r) if n > 0 else 1
     for pos, bit in enumerate(word):
         rem = n - pos - 1
         if bit:
@@ -166,28 +170,20 @@ class _LevelData:
         self._build()
 
     def _build(self):
-        ctx, m, d, k = self._ctx, self.m, self.d, self.k
-        schedule = ctx.schedule
+        d, k = self.d, self.k
         ilo, ihi = self._ilo, self._ihi
-        if schedule.is_idle(m):
+        if self._ctx.schedule.is_idle(self.m):
             # all prefixes survive with gap = binom(m, i); Vandermonde total
             self.ta = 0
-            self.total = comb(self.n, k) if self.n <= _CACHE_LIMIT else _bigcomb(self.n, k)
+            self.total = binom(self.n, k)
         else:
-            ta = 0
-            cum = 0
-            cval = _bigcomb(d, k - ilo)
-            bval = _bigcomb(m, ilo)
+            ta = cum = 0
             snap = self._snapshots
-            for i in range(ilo, ihi + 1):
+            for i, cval, ca, cb in self._terms(ilo, ihi + 1, binom(d, k - ilo)):
                 if (i - ilo) % _SNAPSHOT_STRIDE == 0:
                     snap[i] = (cum, cval)
-                ca, cb = ctx.counts(m, i, bval)
                 ta += cval * ca
                 cum += cval * (cb - ca)
-                if i < ihi:
-                    cval = cval * (k - i) // (d - k + i + 1)
-                    bval = bval * (m - i) // (i + 1)
             self.ta = ta
             self.total = cum
         ca_n, cb_n = self._ctx.counts(self.n, k)
@@ -212,16 +208,23 @@ class _LevelData:
         while base not in self._snapshots:
             base -= _SNAPSHOT_STRIDE
         cum, cval = self._snapshots[base]
-        m, d, k = self.m, self.d, self.k
-        bval = _bigcomb(m, base)
-        for ip in range(base, i):
-            ca, cb = self._ctx.counts(m, ip, bval)
+        for _, cval, ca, cb in self._terms(base, i, cval):
             cum += cval * (cb - ca)
-            if ip + 1 <= self._ihi:
-                cval = cval * (k - ip) // (d - k + ip + 1)
-                bval = bval * (m - ip) // (ip + 1)
         self._memo[i] = cum
         return cum
+
+    def _terms(self, start: int, stop: int, cval: int):
+        """(i, binom(d, k - i), count_a(m, i), count_b(m, i)) for start <= i < stop.
+
+        cval is binom(d, k - start); both binomials are threaded along i.
+        """
+        ctx, m, d, k = self._ctx, self.m, self.d, self.k
+        bval = binom(m, start)
+        for i in range(start, stop):
+            ca, cb = ctx.counts(m, i, bval)
+            yield i, cval, ca, cb
+            cval = cval * (k - i) // (d - k + i + 1)
+            bval = bval * (m - i) // (i + 1)
 
     def _idle_prefix(self, i: int) -> int:
         # sum_{i' < i} t(i'), t(i') = binom(m, i') binom(d, k - i'), streamed by
@@ -235,22 +238,19 @@ class _LevelData:
         ilo, ihi = self._ilo, self._ihi
         if i - ilo <= ihi + 1 - i:
             cum = 0
-            t = _bigcomb(d, k) if ilo == 0 else _bigcomb(m, ilo)
+            t = binom(d, k) if ilo == 0 else binom(m, ilo)
             for ip in range(ilo, i):
                 cum += t
                 t = t * ((m - ip) * (k - ip)) // ((ip + 1) * (d - k + ip + 1))
         else:
             tail = 0
-            t = _bigcomb(m, k) if ihi == k else _bigcomb(d, k - m)
+            t = binom(m, k) if ihi == k else binom(d, k - m)
             for ip in range(ihi, i - 1, -1):
                 tail += t
                 t = t * (ip * (d - k + ip)) // ((m - ip + 1) * (k - ip + 1))
             cum = self.total - tail
         self._memo[i] = cum
         return cum
-
-
-_bigcomb = _uncached_binom
 
 
 class RankContext:
@@ -261,11 +261,11 @@ class RankContext:
         self._counts_memo: dict = {}
         self._levels: dict = {}
 
-    def counts(self, n: int, k: int, binom: Optional[int] = None) -> tuple[int, int]:
+    def counts(self, n: int, k: int, b: Optional[int] = None) -> tuple[int, int]:
         key = (n, k)
         hit = self._counts_memo.get(key)
         if hit is None:
-            hit = self.schedule.counts(n, k, binom)
+            hit = self.schedule.counts(n, k, b)
             if n <= _CACHE_LIMIT:
                 self._counts_memo[key] = hit
         return hit
@@ -282,7 +282,7 @@ class RankContext:
 
     def first_level(self, n1: int, k: int, rank: int) -> tuple[Decision, int]:
         ca, cb = self.counts(n1, k)
-        b = comb(n1, k)
+        b = binom(n1, k)
         if not 0 <= ca <= cb <= b:
             raise InvalidSchedule(n1, k, f"count bounds: 0 <= {ca} <= {cb} <= {b} fails")
         if rank < ca:
@@ -297,7 +297,7 @@ class RankContext:
         data = self.level_data(j, m, n, k)
         r = (
             data.prefix_weight(prefix_ones)
-            + rho * _bigcomb(n - m, k - prefix_ones)
+            + rho * binom(n - m, k - prefix_ones)
             + word_lexrank(suffix)
         )
         if r < data.da:
@@ -307,32 +307,44 @@ class RankContext:
         return Decision.OutputZero, 0
 
 
+def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
+              limit: float) -> tuple[Decision, int]:
+    """Rank the chunks up to successive checkpoints until one decides.
+
+    draw(count) returns the next count bits. The run stops at the first
+    decision that is not Continue, or with Continue when the next
+    checkpoint would pass limit or a finite schedule has no next one.
+    Returns the decision and the length ranked.
+    """
+    schedule = ctx.schedule
+    pos = ones = rho = j = 0
+    while True:
+        n = schedule.checkpoint(j)
+        if n is None or n > limit:
+            return _CONTINUE, pos
+        chunk = draw(n - pos)
+        new_ones = ones + sum(chunk)
+        if j == 0:
+            decision, rho = ctx.first_level(n, new_ones, word_lexrank(chunk))
+        else:
+            decision, rho = ctx.jump_level(j, pos, n, ones, new_ones, rho, chunk)
+        ones, pos = new_ones, n
+        if decision is not _CONTINUE:
+            return decision, pos
+        j += 1
+
+
 def decide(ctx: RankContext, word: Sequence[int]) -> Decision:
     """Classify a word whose length is a checkpoint.
 
     A word extending an already-decided prefix inherits that decision.
     """
     word = list(word)
-    schedule = ctx.schedule
-    pos = 0
-    ones = 0
-    rho = 0
-    j = 0
-    while True:
-        n = schedule.checkpoint(j)
-        if n is None or n > len(word):
-            raise ValueError(f"word length {len(word)} is not a checkpoint")
-        chunk = word[pos:n]
-        new_ones = ones + sum(chunk)
-        if j == 0:
-            decision, rho = ctx.first_level(n, new_ones, word_lexrank(chunk))
-        else:
-            decision, rho = ctx.jump_level(j, pos, n, ones, new_ones, rho, chunk)
-        ones = new_ones
-        pos = n
-        if decision is not Decision.Continue or pos == len(word):
-            return decision
-        j += 1
+    # BytesIO.read hands out the successive chunks, one bit per byte
+    decision, pos = _rank_run(ctx, io.BytesIO(bytes(word)).read, len(word))
+    if decision is _CONTINUE and (pos == 0 or pos < len(word)):
+        raise ValueError(f"word length {len(word)} is not a checkpoint")
+    return decision
 
 
 def simulate(
@@ -349,29 +361,13 @@ def simulate(
     if ctx is None:
         ctx = RankContext(schedule)
     start = source.tosses_consumed
-    pos = 0
-    ones = 0
-    rho = 0
-    j = 0
-    while True:
-        n = schedule.checkpoint(j)
-        if n is None:
-            raise Undecided(source.tosses_consumed - start)
-        if max_tosses is not None and n > max_tosses:
-            raise Undecided(source.tosses_consumed - start)
-        chunk = source.draw_bits(n - pos)
-        new_ones = ones + sum(chunk)
-        if j == 0:
-            decision, rho = ctx.first_level(n, new_ones, word_lexrank(chunk))
-        else:
-            decision, rho = ctx.jump_level(j, pos, n, ones, new_ones, rho, chunk)
-        ones = new_ones
-        pos = n
-        if decision is Decision.OutputOne:
-            return OutcomeRecord(1, source.tosses_consumed - start)
-        if decision is Decision.OutputZero:
-            return OutcomeRecord(0, source.tosses_consumed - start)
-        j += 1
+    decision, _ = _rank_run(ctx, source.draw_bits, math.inf if max_tosses is None else max_tosses)
+    tosses = source.tosses_consumed - start
+    if decision is Decision.OutputOne:
+        return OutcomeRecord(1, tosses)
+    if decision is Decision.OutputZero:
+        return OutcomeRecord(0, tosses)
+    raise Undecided(tosses)
 
 
 @dataclass(frozen=True)
@@ -414,25 +410,29 @@ def envelope_eval(
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _row(schedule: EnvelopeSchedule, n: int):
+    """(k, binom(n, k), count_a, count_b) across row n, binomials threaded."""
+    b = 1
+    for k in range(n + 1):
+        ca, cb = schedule.counts(n, k, b)
+        yield k, b, ca, cb
+        b = b * (n - k) // (k + 1)
+
+
 def _eval_exact(schedule: EnvelopeSchedule, p: Fraction, n: int) -> EnvelopeValues:
     d = p.denominator
     num = p.numerator
     conum = d - num
     # common denominator d**n: g = sum ca * num^k * conum^(n-k) / d^n
-    gsum = 0
-    hsum = 0
+    gsum = hsum = 0
     pk = 1
     qk = conum ** n
-    binom = 1
-    for k in range(n + 1):
-        ca, cb = schedule.counts(n, k, binom)
+    for _, _, ca, cb in _row(schedule, n):
         w = pk * qk
         gsum += ca * w
         hsum += cb * w
-        if k < n:
-            pk *= num
-            qk //= conum
-            binom = binom * (n - k) // (k + 1)
+        pk *= num
+        qk //= conum
     dn = d ** n
     return EnvelopeValues(Fraction(gsum, dn), Fraction(hsum, dn), Fraction(0), Fraction(0))
 
@@ -449,7 +449,7 @@ def _eval_float(schedule: EnvelopeSchedule, p: Fraction, n: int) -> EnvelopeValu
     k_star = min(n, int((n + 1) * p))
     # int / int rounds correctly, as float(Fraction) does, without the gcd
     num, den = p.numerator, p.denominator
-    w_star = _bigcomb(n, k_star) * num ** k_star * (den - num) ** (n - k_star) / den ** n
+    w_star = binom(n, k_star) * num ** k_star * (den - num) ** (n - k_star) / den ** n
     w_iv = (math.nextafter(w_star, -math.inf), math.nextafter(w_star, math.inf))
     glo = ghi = hlo = hhi = 0.0
     points, tail = _pmf_walk(n, k_star, w_iv, p / q)
@@ -566,38 +566,24 @@ def validate_schedule(
     points = schedule.checkpoints_upto(max_checkpoint)
     violations: list[Violation] = []
     rows: dict[int, tuple[list[int], list[int]]] = {}
-
-    def row(n: int) -> tuple[list[int], list[int]]:
-        if n not in rows:
-            cas, cbs = [], []
-            binom = 1
-            for k in range(n + 1):
-                ca, cb = schedule.counts(n, k, binom)
-                cas.append(ca)
-                cbs.append(cb)
-                binom = binom * (n - k) // (k + 1)
-            rows[n] = (cas, cbs)
-        return rows[n]
-
     for n in points:
-        cas, cbs = row(n)
-        if check_bounds:
-            binom = 1
-            for k in range(n + 1):
-                if not 0 <= cas[k] <= cbs[k] <= binom:
-                    violations.append(Violation("bounds", n, k, cas[k], cbs[k]))
-                binom = binom * (n - k) // (k + 1)
+        cas, cbs = rows[n] = ([], [])
+        for k, b, ca, cb in _row(schedule, n):
+            if check_bounds and not 0 <= ca <= cb <= b:
+                violations.append(Violation("bounds", n, k, ca, cb))
+            cas.append(ca)
+            cbs.append(cb)
 
     for m, n in zip(points, points[1:]):
         d = n - m
-        cas_m, cbs_m = row(m)
-        cas_n, cbs_n = row(n)
+        cas_m, cbs_m = rows[m]
+        cas_n, cbs_n = rows[n]
         for k in range(n + 1):
             ilo = max(0, k - d)
             ihi = min(m, k)
             ta = 0
             tb = 0
-            cval = comb(d, k - ilo)
+            cval = binom(d, k - ilo)
             for i in range(ilo, ihi + 1):
                 ta += cval * cas_m[i]
                 tb += cval * cbs_m[i]
@@ -618,8 +604,5 @@ def dump_envelope_csv(schedule: EnvelopeSchedule, max_checkpoint: int, path) -> 
         fh.write(f"# schedule={schedule.name} params={params}\n")
         fh.write("n,k,count_a,count_b\n")
         for n in schedule.checkpoints_upto(max_checkpoint):
-            binom = 1
-            for k in range(n + 1):
-                ca, cb = schedule.counts(n, k, binom)
+            for k, _, ca, cb in _row(schedule, n):
                 fh.write(f"{n},{k},{ca},{cb}\n")
-                binom = binom * (n - k) // (k + 1)

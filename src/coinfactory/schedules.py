@@ -25,15 +25,7 @@ from typing import Callable, Optional
 
 from .engine import EnvelopeSchedule
 from .errors import ExponentNotFound, InvalidParams, MarginViolated
-from .numerics import (
-    bernstein_value,
-    binom,
-    ceil_frac_mul,
-    comb,
-    dyadic_sqrt_upper,
-    exp_neg_upper,
-    floor_frac_mul,
-)
+from .numerics import bernstein_value, binom, dyadic_sqrt_upper, exp_neg_upper
 
 
 def _is_pow2(n: int) -> bool:
@@ -152,16 +144,6 @@ def alpha_beta_doubling(params: DoublingParams, n: int, k: int) -> tuple[Fractio
     return alpha, beta
 
 
-def _doubling_counts(params: DoublingParams):
-    def counts(n: int, k: int, b: Optional[int] = None) -> tuple[int, int]:
-        if b is None:
-            b = binom(n, k)
-        alpha, beta = alpha_beta_doubling(params, n, k)
-        return floor_frac_mul(alpha, b), ceil_frac_mul(beta, b)
-
-    return counts
-
-
 def doubling_schedule(params: DoublingParams) -> EnvelopeSchedule:
     """Power-of-two checkpoints, idle below n0, envelope counts above.
 
@@ -188,7 +170,6 @@ def _doubling_envelope(params: DoublingParams, name: str, idle_below: int,
         name,
         {"eps": params.eps, "C1": params.C1, "C2": params.C2, "n0": params.n0},
         lambda j: 1 << j,
-        _doubling_counts(params),
         ab_fn=lambda n, k: alpha_beta_doubling(params, n, k),
         idle_below=idle_below,
         metadata_extra={
@@ -258,17 +239,10 @@ def smooth_schedule(params: SmoothnessParams) -> EnvelopeSchedule:
         d = params.delta(n)
         return max(Fraction(0), fk - d), min(Fraction(1), fk + d)
 
-    def counts(n: int, k: int, b: Optional[int] = None) -> tuple[int, int]:
-        if b is None:
-            b = binom(n, k)
-        lo, hi = ab(n, k)
-        return max(0, floor_frac_mul(lo, b)), min(b, ceil_frac_mul(hi, b))
-
     return EnvelopeSchedule(
         f"smooth-{params.mode}",
         {"mode": params.mode, "C": params.C, "eps": params.eps},
         lambda j: 1 << j,
-        counts,
         ab_fn=ab,
         idle_below=first_active,
         metadata_extra={
@@ -291,15 +265,12 @@ def smooth_schedule(params: SmoothnessParams) -> EnvelopeSchedule:
 def monomial_schedule(j: int) -> EnvelopeSchedule:
     """Exact schedule for p**j: both envelopes equal falling-factorial ratios.
 
-    count_a(n,k) = count_b(n,k) = binom(n-j, k-j), i.e. the number of
-    length-n words with k ones whose first j tosses are all heads.
+    alpha = beta = perm(k, j) / perm(n, j), and alpha * binom(n, k) is the
+    integer binom(n-j, k-j), so both counts are that number of length-n
+    words with k ones whose first j tosses are all heads.
     """
     if j < 1:
         raise InvalidParams("exponent must be a positive integer")
-
-    def counts(n: int, k: int, b: Optional[int] = None) -> tuple[int, int]:
-        c = binom(n - j, k - j) if k >= j else 0
-        return c, c
 
     def ab(n: int, k: int) -> tuple[Fraction, Fraction]:
         a = Fraction(math.perm(k, j), math.perm(n, j))
@@ -309,7 +280,6 @@ def monomial_schedule(j: int) -> EnvelopeSchedule:
         "monomial",
         {"exponent": j},
         lambda t: j << t,
-        counts,
         ab_fn=ab,
         metadata_extra={"first_active": j},
     )
@@ -467,10 +437,10 @@ def continuous_schedule(params: ContinuousParams) -> EnvelopeSchedule:
         errors.append(worst)
         offset = 3 * tol
         lows.append(
-            HomogeneousPoly(m, tuple((s - offset) * comb(m, l) for l, s in enumerate(samples)))
+            HomogeneousPoly(m, tuple((s - offset) * binom(m, l) for l, s in enumerate(samples)))
         )
         highs.append(
-            HomogeneousPoly(m, tuple((s + offset) * comb(m, l) for l, s in enumerate(samples)))
+            HomogeneousPoly(m, tuple((s + offset) * binom(m, l) for l, s in enumerate(samples)))
         )
 
     shifts = []

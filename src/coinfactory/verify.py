@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -26,7 +25,7 @@ from .errors import (
     SourceExhausted,
     Undecided,
 )
-from .numerics import bernstein_value, comb, dyadic_sqrt_upper
+from .numerics import bernstein_value, binom, dyadic_sqrt_upper
 from .walk import WalkConfig, approx_double_bit
 
 MAX_ORACLE_DEPTH = 20
@@ -137,7 +136,7 @@ def hypergeom_pmf(spec: HypergeomSpec, i: int) -> Fraction:
     n, k = spec.n, spec.k
     if i < 0 or i > n or k - i < 0 or k - i > n:
         return Fraction(0)
-    return Fraction(comb(n, i) * comb(n, k - i), comb(2 * n, k))
+    return Fraction(binom(n, i) * binom(n, k - i), binom(2 * n, k))
 
 
 def bernstein_eval(f: Callable[[Fraction], object], n: int, x) -> Fraction:
@@ -213,7 +212,7 @@ def _replica_runner(target: Target, max_tosses: Optional[int]):
 
 def monte_carlo(target: Target, p, runs: int, seed: int, *,
                 max_tosses: Optional[int] = None, undecided: str = "error",
-                threads: int = 1, tail_points: Optional[Sequence[int]] = None) -> SimulationReport:
+                tail_points: Optional[Sequence[int]] = None) -> SimulationReport:
     """Independent replicas on index-forked sources; deterministic by seed.
 
     Replica i draws from a fresh generator keyed by mix_seed(seed, i), so
@@ -229,41 +228,21 @@ def monte_carlo(target: Target, p, runs: int, seed: int, *,
         raise InvalidParams("undecided policy must be 'error' or 'midpoint'")
     p = Fraction(p)
     run = _replica_runner(target, max_tosses)
-    ones = [0] * runs
-    undec = [0] * runs
+    successes = 0
+    n_undec = 0
     tosses = [0] * runs
+    for i in range(runs):
+        src = GeneratorSource(mix_seed(seed, i), p)
+        try:
+            rec = run(src)
+            successes += rec.bit
+            tosses[i] = rec.tosses
+        except Undecided as u:
+            if undecided == "error":
+                raise
+            n_undec += 1
+            tosses[i] = u.tosses
 
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            src = GeneratorSource(mix_seed(seed, i), p)
-            try:
-                rec = run(src)
-                ones[i] = rec.bit
-                tosses[i] = rec.tosses
-            except Undecided as u:
-                if undecided == "error":
-                    raise
-                undec[i] = 1
-                tosses[i] = u.tosses
-
-    if threads <= 1:
-        fill(0, runs)
-    else:
-        step = (runs + threads - 1) // threads
-        workers = []
-        for t in range(threads):
-            lo = t * step
-            hi = min(runs, lo + step)
-            if lo >= hi:
-                break
-            w = threading.Thread(target=fill, args=(lo, hi))
-            w.start()
-            workers.append(w)
-        for w in workers:
-            w.join()
-
-    successes = sum(ones)
-    n_undec = sum(undec)
     estimate = Fraction(2 * successes + n_undec, 2 * runs)
     lo, hi = _wilson_997(estimate, runs)
     ordered = sorted(tosses)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .coins import CoinSource
 from .engine import OutcomeRecord
@@ -21,7 +20,6 @@ from .numerics import binom, exp_neg_upper
 @dataclass(frozen=True)
 class WalkConfig:
     steps: int
-    p: Optional[Fraction] = None  # analysis only, never used by the run
 
     def __post_init__(self):
         if self.steps < 1:

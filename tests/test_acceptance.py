@@ -125,7 +125,7 @@ def test_criterion_3b_constant_third_frequency():
 
 def test_criterion_3c_lipschitz_factory_frequency(smooth_sched):
     report = monte_carlo(smooth_sched, Fraction(3, 10), 100000, 17,
-                         max_tosses=4096, undecided="midpoint", threads=4)
+                         max_tosses=4096, undecided="midpoint")
     assert abs(report.estimate - Fraction(23, 40)) <= Fraction(47, 10000)
 
 

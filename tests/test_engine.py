@@ -84,6 +84,21 @@ def test_decide_is_stable_across_contexts():
     assert decide(RankContext(mon), word) is decide(RankContext(mon), word)
 
 
+def test_decide_rejects_lengths_that_are_not_checkpoints():
+    # smooth checkpoints are 1, 2, 4, ...; its first few levels are idle,
+    # so every word of length 4 still continues
+    ctx = RankContext(smooth_schedule(lipschitz_params()))
+    assert decide(ctx, (1, 0, 1, 1)) is Decision.Continue
+    for word in ((), (1, 0, 1), (1, 0, 1, 1, 0)):
+        with pytest.raises(ValueError):
+            decide(ctx, word)
+    # a word extending a decided prefix takes its decision at any length
+    mon = RankContext(monomial_schedule(2))
+    assert decide(mon, (0, 1, 1)) is Decision.OutputZero
+    with pytest.raises(ValueError):
+        decide(mon, (1,))
+
+
 def test_decide_flags_planted_inconsistency():
     # the fixture breaks the lower convolution bound at (n=4, k=2); any word
     # whose level-4 membership needs the missing inherited count must raise
@@ -219,6 +234,38 @@ def test_idle_prefix_matches_direct_vandermonde_sum(nmk):
         assert level._idle_prefix(i) == direct
         assert level.prefix_weight(i) == direct
         direct += comb(m, i) * comb(n - m, k - i)
+
+
+# --- count rounding and binomials ------------------------------------------------
+
+
+def test_counts_round_the_rational_pair_floor_and_ceil():
+    # binom(4, 2) = 6: floor(6/3) = 2, ceil(12/3) = 4
+    third = EnvelopeSchedule("third", {}, lambda j: 1 << j,
+                             ab_fn=lambda n, k: (Fraction(1, 3), Fraction(2, 3)))
+    assert third.counts(4, 2) == (2, 4)
+    assert third.counts(4, 2, 6) == (2, 4)
+    # binom(5, 2) = 10: floor(10/3) = 3, ceil(20/3) = 7
+    assert third.counts(5, 2) == (3, 7)
+
+
+def test_counts_do_not_pass_through_ab_values(monkeypatch):
+    # ab_values is the public (and traced) entry point; count rounding
+    # reads the pair directly, so counting a cell is not an ab_values call
+    def unexpected(self, n, k):
+        raise AssertionError("counts called ab_values")
+
+    monkeypatch.setattr(EnvelopeSchedule, "ab_values", unexpected)
+    assert monomial_schedule(2).counts(4, 3) == (comb(2, 1), comb(2, 1))
+
+
+def test_binomials_above_the_cache_limit_stay_out_of_the_cache():
+    n = 1 << 15
+    comb.cache_clear()
+    word_lexrank([i & 1 for i in range(n)])
+    idle = EnvelopeSchedule("idle", {}, lambda j: 1 << j, idle_below=1 << 20)
+    assert idle.counts(n, n // 4) == (0, math.comb(n, n // 4))
+    assert comb.cache_info().currsize == 0
 
 
 # --- validation ----------------------------------------------------------------

@@ -178,6 +178,17 @@ def test_monomial_counts_and_envelope():
         assert v.g == v.h == p * p
 
 
+def test_monomial_counts_are_shifted_binomials():
+    # floor(perm(k, j) / perm(n, j) * binom(n, k)) = binom(n - j, k - j) exactly
+    for j in (1, 2, 3):
+        mon = monomial_schedule(j)
+        for n in range(j, 65):
+            for k in range(n + 1):
+                assert mon.counts(n, k) == (binom(n - j, k - j),) * 2
+    n, k = (1 << 15) + 6, 1 << 13
+    assert monomial_schedule(3).counts(n, k) == (binom(n - 3, k - 3),) * 2
+
+
 def test_monomial_validates_clean():
     assert validate_schedule(monomial_schedule(3), 64).violations == []
 

@@ -174,12 +174,11 @@ def test_monte_carlo_wilson_contains_truth():
     assert report.toss_q50 <= report.toss_q90 <= report.toss_q99 <= report.toss_max
 
 
-def test_monte_carlo_deterministic_and_thread_invariant():
+def test_monte_carlo_deterministic_by_seed():
     args = (von_neumann_bit, Fraction(3, 10), 4000, 21)
     a = monte_carlo(*args)
     b = monte_carlo(*args)
-    c = monte_carlo(*args, threads=4)
-    assert report_to_json(a) == report_to_json(b) == report_to_json(c)
+    assert report_to_json(a) == report_to_json(b)
 
 
 def test_monte_carlo_rejects_zero_runs():
