@@ -229,13 +229,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ExprSyntaxError as e:
-        print(f"syntax error at offset {e.offset}: found {e.found!r}")
-        return EXIT_COMPILE
-    except CompileBlocked as e:
-        for d in e.diagnostics:
-            print(f"{d.severity}: {d.message}")
-        return EXIT_COMPILE
     except OSError as e:
         print(f"io error: {e}")
         return EXIT_IO

@@ -22,7 +22,16 @@ from typing import Callable, Optional, Sequence
 
 from .coins import CoinSource
 from .errors import InvalidSchedule, Undecided
-from .numerics import binom, ceil_frac_mul, floor_frac_mul, iv_add, iv_from_fraction, iv_mul
+from .numerics import (
+    BINOM_CACHE_LIMIT,
+    bernstein_sums,
+    binom,
+    ceil_frac_mul,
+    floor_frac_mul,
+    iv_add,
+    iv_from_fraction,
+    iv_mul,
+)
 
 
 class Decision(Enum):
@@ -32,7 +41,9 @@ class Decision(Enum):
 
 
 # looking up an Enum member costs about as much as a call, and the rank
-# loop tests for Continue once per checkpoint
+# loop returns and tests a decision once per checkpoint
+_ONE = Decision.OutputOne
+_ZERO = Decision.OutputZero
 _CONTINUE = Decision.Continue
 
 
@@ -143,11 +154,10 @@ def word_lexrank(word: Sequence[int]) -> int:
     return rank
 
 
-# cached per-(jump, k) tables are only built below this checkpoint size;
+# cached per-(jump, k) tables are only built up to BINOM_CACHE_LIMIT;
 # larger jumps stream their convolution sums without keeping rows. From an
 # idle level that stream is the hypergeometric term ratio (_idle_prefix),
 # so a jump costs one big-by-small multiply and divide per term walked.
-_CACHE_LIMIT = 1 << 14
 _SNAPSHOT_STRIDE = 16
 
 
@@ -173,9 +183,10 @@ class _LevelData:
         d, k = self.d, self.k
         ilo, ihi = self._ilo, self._ihi
         if self._ctx.schedule.is_idle(self.m):
-            # all prefixes survive with gap = binom(m, i); Vandermonde total
+            # all prefixes survive with gap = binom(m, i); the Vandermonde
+            # total binom(n, k) is also the b that counts(n, k) takes
             self.ta = 0
-            self.total = binom(self.n, k)
+            self.total = b = binom(self.n, k)
         else:
             ta = cum = 0
             snap = self._snapshots
@@ -186,7 +197,8 @@ class _LevelData:
                 cum += cval * (cb - ca)
             self.ta = ta
             self.total = cum
-        ca_n, cb_n = self._ctx.counts(self.n, k)
+            b = None
+        ca_n, cb_n = self._ctx.counts(self.n, k, b)
         self.da = ca_n - self.ta
         self.db = cb_n - self.ta
         if self.da < 0:
@@ -266,12 +278,12 @@ class RankContext:
         hit = self._counts_memo.get(key)
         if hit is None:
             hit = self.schedule.counts(n, k, b)
-            if n <= _CACHE_LIMIT:
+            if n <= BINOM_CACHE_LIMIT:
                 self._counts_memo[key] = hit
         return hit
 
     def level_data(self, j: int, m: int, n: int, k: int) -> _LevelData:
-        if n <= _CACHE_LIMIT:
+        if n <= BINOM_CACHE_LIMIT:
             key = (j, k)
             hit = self._levels.get(key)
             if hit is None:
@@ -286,10 +298,10 @@ class RankContext:
         if not 0 <= ca <= cb <= b:
             raise InvalidSchedule(n1, k, f"count bounds: 0 <= {ca} <= {cb} <= {b} fails")
         if rank < ca:
-            return Decision.OutputOne, 0
+            return _ONE, 0
         if rank < cb:
-            return Decision.Continue, rank - ca
-        return Decision.OutputZero, 0
+            return _CONTINUE, rank - ca
+        return _ZERO, 0
 
     def jump_level(
         self, j: int, m: int, n: int, prefix_ones: int, k: int, rho: int, suffix: Sequence[int]
@@ -301,10 +313,10 @@ class RankContext:
             + word_lexrank(suffix)
         )
         if r < data.da:
-            return Decision.OutputOne, 0
+            return _ONE, 0
         if r < data.db:
-            return Decision.Continue, r - data.da
-        return Decision.OutputZero, 0
+            return _CONTINUE, r - data.da
+        return _ZERO, 0
 
 
 def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
@@ -363,9 +375,9 @@ def simulate(
     start = source.tosses_consumed
     decision, _ = _rank_run(ctx, source.draw_bits, math.inf if max_tosses is None else max_tosses)
     tosses = source.tosses_consumed - start
-    if decision is Decision.OutputOne:
+    if decision is _ONE:
         return OutcomeRecord(1, tosses)
-    if decision is Decision.OutputZero:
+    if decision is _ZERO:
         return OutcomeRecord(0, tosses)
     raise Undecided(tosses)
 
@@ -420,21 +432,9 @@ def _row(schedule: EnvelopeSchedule, n: int):
 
 
 def _eval_exact(schedule: EnvelopeSchedule, p: Fraction, n: int) -> EnvelopeValues:
-    d = p.denominator
-    num = p.numerator
-    conum = d - num
-    # common denominator d**n: g = sum ca * num^k * conum^(n-k) / d^n
-    gsum = hsum = 0
-    pk = 1
-    qk = conum ** n
-    for _, _, ca, cb in _row(schedule, n):
-        w = pk * qk
-        gsum += ca * w
-        hsum += cb * w
-        pk *= num
-        qk //= conum
-    dn = d ** n
-    return EnvelopeValues(Fraction(gsum, dn), Fraction(hsum, dn), Fraction(0), Fraction(0))
+    cas, cbs = zip(*((ca, cb) for _, _, ca, cb in _row(schedule, n)))
+    g, h = bernstein_sums((cas, cbs), p)
+    return EnvelopeValues(g, h, Fraction(0), Fraction(0))
 
 
 def _eval_float(schedule: EnvelopeSchedule, p: Fraction, n: int) -> EnvelopeValues:
@@ -547,9 +547,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def consistency_violations(self) -> list[Violation]:
-        return [v for v in self.violations if v.kind != "bounds"]
 
 
 def validate_schedule(

@@ -14,6 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 DYADIC_BITS = 64
+# largest n whose binomials are cached; above it a cache would pin megabit
+# integers in memory
+BINOM_CACHE_LIMIT = 1 << 14
 
 
 @lru_cache(maxsize=1 << 16)
@@ -24,12 +27,8 @@ def comb(n: int, k: int) -> int:
 
 
 def binom(n: int, k: int) -> int:
-    """Binomial coefficient, cached only for small n.
-
-    Above 2**14 the cache would pin megabit integers in memory, so large
-    arguments go straight to math.comb.
-    """
-    if n <= 1 << 14:
+    """Binomial coefficient, cached only up to BINOM_CACHE_LIMIT."""
+    if n <= BINOM_CACHE_LIMIT:
         return comb(n, k)
     if k < 0 or k > n:
         return 0
@@ -170,19 +169,29 @@ def poly_eval(a, x: Fraction) -> Fraction:
     return acc
 
 
-def bernstein_value(values, x: Fraction) -> Fraction:
-    """Sum of values[k] * binom(n, k) * x**k * (1-x)**(n-k), n = len(values) - 1, exactly."""
-    n = len(values) - 1
-    y = 1 - x
-    ypows = [Fraction(1)]
-    for _ in range(n):
-        ypows.append(ypows[-1] * y)
-    total = Fraction(0)
-    xpow = Fraction(1)
-    for k, v in enumerate(values):
-        total += v * comb(n, k) * xpow * ypows[n - k]
-        xpow *= x
-    return total
+def bernstein_sums(rows, p) -> list[Fraction]:
+    """sum_k w[k] p**k (1-p)**(n-k) exactly, n = len(w) - 1, for each row w.
+
+    Weights are ints or Fractions and the rows have one length. p is any
+    rational, the endpoints 0 and 1 included. With p = a/d every row is
+    scaled to integers and taken through one Horner pass,
+    U_k = (d-a) U_(k-1) + w[k] a**k, that ends with U_n = d**n times the
+    sum; the one division by d**n comes last.
+    """
+    p = Fraction(p)
+    a, d = p.numerator, p.denominator
+    c = d - a
+    # ints carry .numerator and .denominator too, so one rule scales both
+    scales = [math.lcm(*(w.denominator for w in row)) for row in rows]
+    ints = [row if s == 1 else [w.numerator * (s // w.denominator) for w in row]
+            for row, s in zip(rows, scales)]
+    acc = [0] * len(ints)
+    ak = 1
+    for ws in zip(*ints):
+        acc = [c * u + w * ak for u, w in zip(acc, ws)]
+        ak *= a
+    dn = d ** (len(ints[0]) - 1)
+    return [Fraction(u, dn * s) for u, s in zip(acc, scales)]
 
 
 def bernstein_coeffs(a, max_degree: int):

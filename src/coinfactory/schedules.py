@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 from .engine import EnvelopeSchedule
 from .errors import ExponentNotFound, InvalidParams, MarginViolated
-from .numerics import bernstein_value, binom, dyadic_sqrt_upper, exp_neg_upper
+from .numerics import bernstein_sums, binom, dyadic_sqrt_upper, exp_neg_upper
 
 
 def _is_pow2(n: int) -> bool:
@@ -425,9 +425,10 @@ def continuous_schedule(params: ContinuousParams) -> EnvelopeSchedule:
                     f"level {i}: no degree up to {params.max_degree} meets 2**-{i} on the grid"
                 )
             samples = [Fraction(f(Fraction(l, m))) for l in range(m + 1)]
+            weights = [s * binom(m, l) for l, s in enumerate(samples)]
             worst = Fraction(0)
             for x, fx in fgrid.items():
-                err = abs(bernstein_value(samples, x) - fx)
+                err = abs(bernstein_sums([weights], x)[0] - fx)
                 if err > worst:
                     worst = err
             if worst < tol:

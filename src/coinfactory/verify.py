@@ -25,7 +25,7 @@ from .errors import (
     SourceExhausted,
     Undecided,
 )
-from .numerics import bernstein_value, binom, dyadic_sqrt_upper
+from .numerics import bernstein_sums, binom, dyadic_sqrt_upper
 from .walk import WalkConfig, approx_double_bit
 
 MAX_ORACLE_DEPTH = 20
@@ -143,7 +143,7 @@ def bernstein_eval(f: Callable[[Fraction], object], n: int, x) -> Fraction:
     """Degree-n Bernstein polynomial of f at x, exact."""
     if n < 1:
         raise InvalidParams("degree must be at least 1")
-    return bernstein_value([Fraction(f(Fraction(k, n))) for k in range(n + 1)], Fraction(x))
+    return bernstein_sums([[Fraction(f(Fraction(k, n))) * binom(n, k) for k in range(n + 1)]], x)[0]
 
 
 def feasibility_check(f: Callable[[Fraction], object], grid: Sequence,

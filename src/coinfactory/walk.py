@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .coins import CoinSource
 from .engine import OutcomeRecord
-from .numerics import binom, exp_neg_upper
+from .numerics import bernstein_sums, binom, exp_neg_upper
 
 
 @dataclass(frozen=True)
@@ -56,18 +56,7 @@ def walk_bias_exact(n: int, p: Fraction) -> Fraction:
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must lie strictly between 0 and 1")
-    num = p.numerator
-    den = p.denominator
-    conum = den - num
-    total = 0
-    pk = 1
-    qk = conum ** n
-    for k in range(n + 1):
-        total += reflection_count(n, k) * pk * qk
-        if k < n:
-            pk *= num
-            qk //= conum
-    return Fraction(total, den ** n)
+    return bernstein_sums([[reflection_count(n, k) for k in range(n + 1)]], p)[0]
 
 
 def walk_error_bound(n: int, p: Fraction) -> Fraction:
