@@ -26,6 +26,7 @@ from .numerics import (
     BINOM_CACHE_LIMIT,
     bernstein_sums,
     binom,
+    binom_row,
     ceil_frac_mul,
     floor_frac_mul,
     iv_add,
@@ -424,11 +425,9 @@ def envelope_eval(
 
 def _row(schedule: EnvelopeSchedule, n: int):
     """(k, binom(n, k), count_a, count_b) across row n, binomials threaded."""
-    b = 1
-    for k in range(n + 1):
+    for k, b in enumerate(binom_row(n)):
         ca, cb = schedule.counts(n, k, b)
         yield k, b, ca, cb
-        b = b * (n - k) // (k + 1)
 
 
 def _eval_exact(schedule: EnvelopeSchedule, p: Fraction, n: int) -> EnvelopeValues:

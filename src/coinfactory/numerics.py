@@ -35,6 +35,14 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def binom_row(n: int):
+    """C(n, 0), ..., C(n, n) in turn, stepped by C(n, k+1) = C(n, k)(n-k)/(k+1)."""
+    b = 1
+    for k in range(n + 1):
+        yield b
+        b = b * (n - k) // (k + 1)
+
+
 def floor_frac_mul(fr: Fraction, m: int) -> int:
     """floor(fr * m) without building an intermediate Fraction."""
     return (fr.numerator * m) // fr.denominator

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 from .engine import EnvelopeSchedule
 from .errors import ExponentNotFound, InvalidParams, MarginViolated
-from .numerics import bernstein_sums, binom, dyadic_sqrt_upper, exp_neg_upper
+from .numerics import bernstein_sums, binom_row, dyadic_sqrt_upper, exp_neg_upper
 
 
 def _is_pow2(n: int) -> bool:
@@ -425,7 +425,8 @@ def continuous_schedule(params: ContinuousParams) -> EnvelopeSchedule:
                     f"level {i}: no degree up to {params.max_degree} meets 2**-{i} on the grid"
                 )
             samples = [Fraction(f(Fraction(l, m))) for l in range(m + 1)]
-            weights = [s * binom(m, l) for l, s in enumerate(samples)]
+            row = list(binom_row(m))
+            weights = [s * b for s, b in zip(samples, row)]
             worst = Fraction(0)
             for x, fx in fgrid.items():
                 err = abs(bernstein_sums([weights], x)[0] - fx)
@@ -438,10 +439,10 @@ def continuous_schedule(params: ContinuousParams) -> EnvelopeSchedule:
         errors.append(worst)
         offset = 3 * tol
         lows.append(
-            HomogeneousPoly(m, tuple((s - offset) * binom(m, l) for l, s in enumerate(samples)))
+            HomogeneousPoly(m, tuple((s - offset) * b for s, b in zip(samples, row)))
         )
         highs.append(
-            HomogeneousPoly(m, tuple((s + offset) * binom(m, l) for l, s in enumerate(samples)))
+            HomogeneousPoly(m, tuple((s + offset) * b for s, b in zip(samples, row)))
         )
 
     shifts = []
@@ -463,12 +464,8 @@ def continuous_schedule(params: ContinuousParams) -> EnvelopeSchedule:
         pad = n - degrees[t]
         lo = lows[t].shifted(pad).coeffs
         hi = highs[t].shifted(pad).coeffs
-        binom_k = 1
-        cas, cbs = [], []
-        for k in range(n + 1):
-            cas.append(max(0, math.floor(lo[k])))
-            cbs.append(min(binom_k, math.ceil(hi[k])))
-            binom_k = binom_k * (n - k) // (k + 1)
+        cas = [max(0, math.floor(x)) for x in lo]
+        cbs = [min(b, math.ceil(x)) for x, b in zip(hi, binom_row(n))]
         count_rows[n] = (cas, cbs)
 
     params.degrees = tuple(degrees)

@@ -25,7 +25,7 @@ from .errors import (
     SourceExhausted,
     Undecided,
 )
-from .numerics import bernstein_sums, binom, dyadic_sqrt_upper
+from .numerics import bernstein_sums, binom, binom_row, dyadic_sqrt_upper
 from .walk import WalkConfig, approx_double_bit
 
 MAX_ORACLE_DEPTH = 20
@@ -143,7 +143,12 @@ def bernstein_eval(f: Callable[[Fraction], object], n: int, x) -> Fraction:
     """Degree-n Bernstein polynomial of f at x, exact."""
     if n < 1:
         raise InvalidParams("degree must be at least 1")
-    return bernstein_sums([[Fraction(f(Fraction(k, n))) * binom(n, k) for k in range(n + 1)]], x)[0]
+    # integer weights over the common denominator s of the samples, so the
+    # big binomials never enter Fraction products
+    samples = [Fraction(f(Fraction(k, n))) for k in range(n + 1)]
+    s = math.lcm(*(v.denominator for v in samples))
+    weights = [v.numerator * (s // v.denominator) * b for v, b in zip(samples, binom_row(n))]
+    return bernstein_sums([weights], x)[0] / s
 
 
 def feasibility_check(f: Callable[[Fraction], object], grid: Sequence,

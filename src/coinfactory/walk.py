@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .coins import CoinSource
 from .engine import OutcomeRecord
-from .numerics import bernstein_sums, binom, exp_neg_upper
+from .numerics import bernstein_sums, binom, binom_row, exp_neg_upper
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,9 @@ def walk_bias_exact(n: int, p: Fraction) -> Fraction:
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must lie strictly between 0 and 1")
-    return bernstein_sums([[reflection_count(n, k) for k in range(n + 1)]], p)[0]
+    # reflection_count along the row, with 2 C(n-1, k-1) = 2 C(n, k) k / n
+    counts = [b if 2 * k >= n else 2 * k * b // n for k, b in enumerate(binom_row(n))]
+    return bernstein_sums([counts], p)[0]
 
 
 def walk_error_bound(n: int, p: Fraction) -> Fraction:

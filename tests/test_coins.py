@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from coinfactory import GeneratorSource, TapeSource, load_tape, mix_seed, save_tape
+from coinfactory import CoinSource, GeneratorSource, TapeSource, load_tape, mix_seed, save_tape
 from coinfactory.errors import SourceExhausted
 
 
@@ -77,3 +80,120 @@ def test_mix_seed_spreads():
     assert len(seen) == 2000
     assert mix_seed(3, 7) == mix_seed(3, 7)
     assert mix_seed(3, 7) != mix_seed(4, 7)
+
+
+# --- tape checks and bulk reads ------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [0.7, 2, "1"])
+def test_tape_rejects_non_bits(bad):
+    with pytest.raises(ValueError):
+        TapeSource([0, bad, 1])
+
+
+def test_tape_accepts_numpy_ints_and_bools():
+    tape = TapeSource([np.int64(1), np.uint8(0), True, np.bool_(False), 1.0])
+    assert tape.bits == [1, 0, 1, 0, 1]
+    assert all(type(b) is int for b in tape.bits)
+
+
+def test_tape_draw_bits_matches_per_bit_loop():
+    bits = [1, 0, 0, 1, 1, 0, 1]
+    bulk, loop = TapeSource(bits), TapeSource(bits)
+    for k in (0, 3, -2, 2):
+        assert bulk.draw_bits(k) == CoinSource.draw_bits(loop, k)
+        assert (bulk.position, bulk.tosses_consumed) == (loop.position, loop.tosses_consumed)
+    # 2 bits left: both read them, count them, then refuse the third
+    with pytest.raises(SourceExhausted, match="tape of length 7 fully consumed"):
+        bulk.draw_bits(5)
+    with pytest.raises(SourceExhausted, match="tape of length 7 fully consumed"):
+        CoinSource.draw_bits(loop, 5)
+    assert (bulk.position, bulk.tosses_consumed) == (loop.position, loop.tosses_consumed) == (7, 7)
+    assert bulk.draw_bits(0) == []
+    with pytest.raises(SourceExhausted):
+        bulk.draw_bits(1)
+    assert bulk.tosses_consumed == 7
+
+
+# --- generator stream identity -------------------------------------------------------
+
+
+def test_generator_first_bits_frozen():
+    # captured before next_bit was buffered: the stream must not move
+    src = GeneratorSource(7, Fraction(2, 7))
+    bits = "".join(str(src.next_bit()) for _ in range(64))
+    assert bits == "0001001000011000000011011000000111010101100000100000100100000001"
+
+
+def test_generator_counts_bits_not_words():
+    src = GeneratorSource(3, Fraction(1, 3))
+    src.next_bit()
+    assert src.tosses_consumed == 1
+    src.draw_bits(5)
+    assert src.tosses_consumed == 6
+
+
+biases = st.one_of(
+    st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2**70)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**9).filter(lambda b: 0 < b < 1),
+)
+calls = st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=150)), max_size=30)
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), biases, calls)
+def test_generator_interleaving_keeps_one_stream(seed, bias, plan):
+    # (True, k): k next_bit calls; (False, k): one draw_bits(k)
+    src = GeneratorSource(seed, bias)
+    got = []
+    for one_at_a_time, k in plan:
+        if one_at_a_time:
+            got += [src.next_bit() for _ in range(k)]
+        else:
+            got += src.draw_bits(k)
+        assert src.tosses_consumed == len(got)
+    assert got == GeneratorSource(seed, bias).draw_bits(len(got))
+
+
+class _RawWords:
+    """Stand-in bit generator serving a fixed cycle of raw words."""
+
+    def __init__(self, words):
+        self.words = words
+        self.drawn = 0
+
+    def random_raw(self, size=None):
+        n = 1 if size is None else size
+        out = [self.words[(self.drawn + j) % len(self.words)] for j in range(n)]
+        self.drawn += n
+        return out[0] if size is None else np.array(out, dtype=np.uint64)
+
+
+def _refined_bits(seed, bias, count):
+    """The next count boundary decisions, refined with exact Fractions."""
+    sub = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,)))
+    q = (bias.numerator << 64) // bias.denominator
+    out = []
+    for _ in range(count):
+        lo, width = Fraction(q, 2**64), Fraction(1, 2**64)
+        while lo < bias < lo + width:
+            width /= 2
+            lo += width * (sub.random_raw() >> 63)
+        out.append(1 if lo + width <= bias else 0)
+    return out
+
+
+def test_generator_boundary_words_refine_alike_in_both_paths():
+    bias = Fraction(2, 7)
+    q = (bias.numerator << 64) // bias.denominator
+    pattern = [q, q - 1, q, q + 1, q, q]  # four boundary words per cycle
+    refined = iter(_refined_bits(11, bias, 80))
+    expected = [next(refined) if w == q else int(w < q) for w in pattern * 20]
+    per_bit, bulk, mixed = (GeneratorSource(11, bias) for _ in range(3))
+    for src in (per_bit, bulk, mixed):
+        src._bitgen = _RawWords(pattern)
+    assert [per_bit.next_bit() for _ in range(120)] == expected
+    assert bulk.draw_bits(120) == expected
+    got = [mixed.next_bit() for _ in range(7)] + mixed.draw_bits(50)
+    got += [mixed.next_bit() for _ in range(13)] + mixed.draw_bits(50)
+    assert got == expected
+    assert per_bit.tosses_consumed == bulk.tosses_consumed == mixed.tosses_consumed == 120
