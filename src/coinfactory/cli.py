@@ -9,6 +9,7 @@ through floating point.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -40,6 +41,21 @@ EXIT_COMPILE = 2
 EXIT_VERIFY = 3
 
 
+def _usage_errors(parse):
+    """Argument type whose package errors and zero denominators are usage
+    errors; argparse itself catches only ValueError and TypeError."""
+
+    @functools.wraps(parse)
+    def checked(text: str):
+        try:
+            return parse(text)
+        except (CoinFactoryError, ZeroDivisionError) as e:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}: {e}") from e
+
+    return checked
+
+
+@_usage_errors
 def _fraction(text: str) -> Fraction:
     return Fraction(text)
 
@@ -52,6 +68,7 @@ def _parse_backend(text: str):
     raise argparse.ArgumentTypeError(f"backend must be 'exact' or 'approx:STEPS', got {text!r}")
 
 
+@_usage_errors
 def _parse_domain(text: str) -> Interval:
     lo, _, hi = text.partition(":")
     if not hi:
@@ -59,6 +76,7 @@ def _parse_domain(text: str) -> Interval:
     return Interval(Fraction(lo), Fraction(hi))
 
 
+@_usage_errors
 def _resolve_target(text: str):
     name, _, arg = text.partition(":")
     if name in ("double", "monomial"):
@@ -111,7 +129,7 @@ def cmd_simulate(args) -> int:
     target = _load_target(args)
     report = monte_carlo(target, args.p, args.runs, args.seed,
                          max_tosses=args.max_tosses,
-                         undecided="midpoint" if args.max_tosses else "error")
+                         undecided="error" if args.max_tosses is None else "midpoint")
     if args.report:
         save_report(report, args.report)
     print(f"estimate {_frac_str(report.estimate)} "

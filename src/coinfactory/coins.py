@@ -6,6 +6,10 @@ expansion of a rational bias, refining from a separate substream on the
 (probability 2**-64) ambiguous boundary, so each emitted bit is exactly
 Bernoulli(p) with no floating point involved. A tape source replays a
 recorded bit sequence and never fabricates bits.
+
+Monte Carlo seeds its replicas' generators through _replica_seeds, which
+hashes a chunk of seeds in one vectorised pass to the words numpy's own
+seeding would give, so every stream is the one PCG64(seed) gives.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ _MASK64 = (1 << 64) - 1
 # builds one source per replica, and double up to the cap for long runs.
 _BLOCK_START = 8
 _BLOCK_CAP = 4096
+# Replica seeds are mixed and hashed this many at a time.
+_SEED_CHUNK = 1024
 
 
 def _splitmix64(state: int) -> int:
@@ -34,9 +40,94 @@ def _splitmix64(state: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix_seed(seed: int, stream_index: int) -> int:
-    """Derived seed for fork_independent: two splitmix64 rounds."""
+def mix_seed(seed: int, stream_index):
+    """Derived seed for fork_independent: two splitmix64 rounds.
+
+    stream_index may also be a uint64 array; the rounds then run over the
+    whole array, whose uint64 arithmetic wraps as the masks do.
+    """
     return _splitmix64(_splitmix64(seed & _MASK64) ^ (stream_index & _MASK64))
+
+
+# --- batched seeding ------------------------------------------------------------
+# numpy's SeedSequence with the default pool of four 32-bit words (O'Neill's
+# seed_seq hash): each hash step xors a running constant into a word, steps
+# the constant by a fixed multiplier, multiplies and folds the high half in.
+# The constants follow one fixed sequence, so they are tabled once here.
+
+
+def _hash_constants(init: int, mult: int, steps: int):
+    """Columns (h_k, h_k+1) of the running constant, h_k+1 = h_k * mult mod 2**32."""
+    h = [init]
+    for _ in range(steps):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    return (np.array(h[:-1], dtype=np.uint32)[:, None],
+            np.array(h[1:], dtype=np.uint32)[:, None])
+
+
+# 4 steps absorb the entropy words, 12 mix every pool word into every other
+_ENTROPY_XOR, _ENTROPY_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+# 8 steps, two per uint64 state word
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_LEFT = 0xCA01F9DD
+_MIX_RIGHT = 0x4973F715
+
+
+def _hashmix(words, xor, mul):
+    words = (words ^ xor) * mul
+    return words ^ (words >> 16)
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) for each s of a uint64 array.
+
+    Row i of the result is seed i's four state words. The pool is held as
+    4 x len(seeds) uint32 lanes. A seed below 2**32 is one entropy word,
+    and numpy pads a short entropy with hash steps over 0, so a zero high
+    word gives the same pool.
+    """
+    pool = np.stack(((seeds & 0xFFFFFFFF).astype(np.uint32),
+                     (seeds >> 32).astype(np.uint32),
+                     np.zeros(len(seeds), dtype=np.uint32),
+                     np.zeros(len(seeds), dtype=np.uint32)))
+    pool = _hashmix(pool, _ENTROPY_XOR[:4], _ENTROPY_MUL[:4])
+    step = 4
+    for src in range(4):
+        # word src is not changed while it is mixed into the other three
+        dst = [d for d in range(4) if d != src]
+        mixed = (_MIX_LEFT * pool[dst]
+                 - _MIX_RIGHT * _hashmix(pool[src], _ENTROPY_XOR[step:step + 3],
+                                         _ENTROPY_MUL[step:step + 3]))
+        pool[dst] = mixed ^ (mixed >> 16)
+        step += 3
+    state = _hashmix(np.tile(pool, (2, 1)), _STATE_XOR, _STATE_MUL).astype(np.uint64)
+    # 32-bit words pair up little-endian; rows are C-contiguous, as PCG64 reads them
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+
+
+class _Seeded:
+    """A seed with its SeedSequence state words already computed.
+
+    _replica_seeds registers it as a numpy ISeedSequence, so PCG64 takes
+    it as a seed sequence; numpy.random still loads at the first source.
+    """
+
+    def __init__(self, seed: int, words: np.ndarray):
+        self.seed = seed
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 is the only consumer: it asks for 4 uint64 words
+        return self.words
+
+
+def _replica_seeds(seed: int, runs: int):
+    """_Seeded(mix_seed(seed, i)) for i < runs, hashed a chunk at a time."""
+    np.random.bit_generator.ISeedSequence.register(_Seeded)
+    for start in range(0, runs, _SEED_CHUNK):
+        keys = mix_seed(seed, np.arange(start, min(start + _SEED_CHUNK, runs), dtype=np.uint64))
+        for key, words in zip(keys.tolist(), _seed_words(keys)):
+            yield _Seeded(key, words)
 
 
 class CoinSource:
@@ -110,25 +201,35 @@ class GeneratorSource(CoinSource):
     decided by refinement bits, the top bit of each word of a second
     PCG64 keyed by SeedSequence(seed, spawn_key=(0,)) and created on
     first use. Both methods take these bits in toss order.
+
+    seed is an int, or a _Seeded from _replica_seeds that carries the int
+    with its SeedSequence words; self.seed is the int and the stream is
+    PCG64(seed)'s either way.
     """
 
     kind = "seeded-generator"
 
-    def __init__(self, seed: int, bias: Fraction):
-        bias = Fraction(bias)
-        if not 0 < bias < 1:
+    def __init__(self, seed, bias: Fraction):
+        if not isinstance(bias, Fraction):
+            bias = Fraction(bias)
+        num, den = bias.numerator, bias.denominator
+        if not 0 < num < den:
             raise ValueError("bias must lie strictly between 0 and 1")
-        self.seed = int(seed) & _MASK64
+        if isinstance(seed, _Seeded):
+            # monte_carlo's replicas: the seed's words were hashed in a batch
+            self.seed = seed.seed
+        else:
+            self.seed = seed = int(seed) & _MASK64
         self.bias = bias
         self.tosses_consumed = 0
-        self._bitgen = np.random.PCG64(self.seed)
+        self._bitgen = np.random.PCG64(seed)
         self._refiner = None
         self._words: list[int] = []
         self._pos = 0
         self._block = _BLOCK_START
         # heads iff u < q, ambiguous (extend) iff u == q and 2**64 p not integer
-        self._q = (bias.numerator << 64) // bias.denominator
-        self._exact = (bias.numerator << 64) % bias.denominator == 0
+        self._q, rest = divmod(num << 64, den)
+        self._exact = rest == 0
 
     def _resolve_boundary(self) -> int:
         # u landed exactly on the truncated expansion: refine bit by bit

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .coins import CoinSource
-from .errors import InvalidSchedule, Undecided
+from .errors import InvalidParams, InvalidSchedule, Undecided
 from .numerics import (
     BINOM_CACHE_LIMIT,
     bernstein_sums,
@@ -559,6 +559,8 @@ def validate_schedule(
     restricts the run to the two convolution inequalities, which is what
     raw (unclamped) envelope variants are validated against.
     """
+    if max_checkpoint < 1:
+        raise InvalidParams(f"max checkpoint {max_checkpoint} must be at least 1")
     points = schedule.checkpoints_upto(max_checkpoint)
     violations: list[Violation] = []
     rows: dict[int, tuple[list[int], list[int]]] = {}

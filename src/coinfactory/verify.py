@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .coins import CoinSource, GeneratorSource, TapeSource, mix_seed
+from .coins import CoinSource, GeneratorSource, TapeSource, _replica_seeds
 from .combinators import FactoryPlan, plan_hash, run_plan
 from .engine import EnvelopeSchedule, RankContext, simulate
 from .errors import (
@@ -221,7 +221,9 @@ def monte_carlo(target: Target, p, runs: int, seed: int, *,
     """Independent replicas on index-forked sources; deterministic by seed.
 
     Replica i draws from a fresh generator keyed by mix_seed(seed, i), so
-    the report is identical however the replicas are scheduled. With
+    the report is identical however the replicas are scheduled; the
+    replicas' seeds are hashed a chunk at a time, which leaves every
+    stream as GeneratorSource(mix_seed(seed, i), p) gives it. With
     undecided="midpoint" a capped run scores 1/2, the midpoint of the
     still-possible outputs; the exact envelope bracket then makes the
     estimator's bias the bracket asymmetry, which is negligible for the
@@ -231,13 +233,17 @@ def monte_carlo(target: Target, p, runs: int, seed: int, *,
         raise InvalidParams("runs must be at least 1")
     if undecided not in ("error", "midpoint"):
         raise InvalidParams("undecided policy must be 'error' or 'midpoint'")
+    if max_tosses is not None and max_tosses < 1:
+        raise InvalidParams(f"max_tosses = {max_tosses} must be at least 1")
     p = Fraction(p)
+    if not 0 < p < 1:
+        raise InvalidParams(f"p = {p} must lie strictly inside (0, 1)")
     run = _replica_runner(target, max_tosses)
     successes = 0
     n_undec = 0
     tosses = [0] * runs
-    for i in range(runs):
-        src = GeneratorSource(mix_seed(seed, i), p)
+    for i, key in enumerate(_replica_seeds(seed, runs)):
+        src = GeneratorSource(key, p)
         try:
             rec = run(src)
             successes += rec.bit

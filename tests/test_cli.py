@@ -85,6 +85,21 @@ def test_simulate_compiled_plan_round_trip(tmp_path, capsys):
     assert text.startswith("estimate ")
 
 
+@pytest.mark.parametrize("p", ["0", "1", "3/2"])
+def test_simulate_p_outside_unit_interval_is_one_error_line(p, capsys):
+    rc, text = run(["simulate", "--target", "monomial:2", "--p", p, "--runs", "10"], capsys)
+    assert rc == 3
+    assert text.splitlines() == [f"error: p = {p} must lie strictly inside (0, 1)"]
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_simulate_max_tosses_below_one_is_rejected(cap, capsys):
+    rc, text = run(["simulate", "--target", "monomial:2", "--p", "1/3", "--runs", "10",
+                    "--max-tosses", cap], capsys)
+    assert rc == 3
+    assert text.splitlines() == [f"error: max_tosses = {cap} must be at least 1"]
+
+
 # --- verify ---------------------------------------------------------------------
 
 
@@ -158,6 +173,12 @@ def test_envelope_corrupt_fixture_pinpoints_cell(capsys):
     assert "violation: lower-consistency at (n=4, k=2)" in text
 
 
+def test_envelope_max_n_below_one_is_rejected(capsys):
+    rc, text = run(["envelope", "--target", "monomial:2", "--max-n", "-1"], capsys)
+    assert rc == 3
+    assert text.splitlines() == ["error: max checkpoint -1 must be at least 1"]
+
+
 def test_envelope_rejects_non_schedule_target(capsys):
     rc, text = run(["envelope", "--target", "walk:10", "--max-n", "16"], capsys)
     assert rc == 3
@@ -188,3 +209,15 @@ def test_unknown_target_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--target", "mystery:1", "--depth", "4", "--p", "1/3"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--target", "monomial:0", "--p", "1/3", "--runs", "10"],
+    ["simulate", "--target", "monomial:2", "--p", "1/0", "--runs", "10"],
+    ["compile", "p", "--domain", "1/0:1/2"],
+], ids=["monomial_zero", "p_zero_denominator", "domain_zero_denominator"])
+def test_rejected_argument_values_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "invalid value" in capsys.readouterr().err

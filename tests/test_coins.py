@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coinfactory import CoinSource, GeneratorSource, TapeSource, load_tape, mix_seed, save_tape
+from coinfactory.coins import _SEED_CHUNK, _replica_seeds, _seed_words
 from coinfactory.errors import SourceExhausted
 
 
@@ -197,3 +198,38 @@ def test_generator_boundary_words_refine_alike_in_both_paths():
     got += [mixed.next_bit() for _ in range(13)] + mixed.draw_bits(50)
     assert got == expected
     assert per_bit.tosses_consumed == bulk.tosses_consumed == mixed.tosses_consumed == 120
+
+
+# --- batched replica seeding ------------------------------------------------------------
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=40))
+@example([0, 2**32 - 1, 2**32, 2**64 - 1])
+def test_seed_words_match_numpy_seed_sequence(seeds):
+    words = _seed_words(np.array(seeds, dtype=np.uint64))
+    assert words.shape == (len(seeds), 4)
+    for seed, row in zip(seeds, words):
+        assert row.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+
+
+@given(st.integers(min_value=-2**70, max_value=2**70), st.integers(min_value=0, max_value=2**64 - 40))
+@example(-1, 0)
+@example(2**64, _SEED_CHUNK - 3)
+@example(2**64 + 5, 2**64 - 40)
+def test_vectorised_mix_seed_matches_scalar(seed, start):
+    indices = np.arange(start, start + 37, dtype=np.uint64)
+    assert mix_seed(seed, indices).tolist() == [mix_seed(seed, start + j) for j in range(37)]
+
+
+@pytest.mark.parametrize("seed", [501, -1, 2**64 - 1])
+def test_replica_seeds_build_the_single_seed_stream(seed):
+    bias = Fraction(2, 7)
+    keys = list(_replica_seeds(seed, _SEED_CHUNK + 2))
+    assert len(keys) == _SEED_CHUNK + 2
+    for i in (0, 1, _SEED_CHUNK - 1, _SEED_CHUNK, _SEED_CHUNK + 1):
+        batched = GeneratorSource(keys[i], bias)
+        single = GeneratorSource(mix_seed(seed, i), bias)
+        assert batched.seed == single.seed == mix_seed(seed, i)
+        assert batched.draw_bits(40) == single.draw_bits(40)
+        # the boundary refiner and forks are keyed by the int seed alone
+        assert batched.fork_independent(3).draw_bits(40) == single.fork_independent(3).draw_bits(40)

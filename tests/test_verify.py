@@ -1,17 +1,22 @@
 """Ground-truth machinery: oracle, pmf/Bernstein utilities, Monte Carlo."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from coinfactory import (
+    GeneratorSource,
     HypergeomSpec,
+    OutcomeRecord,
     bernstein_eval,
     constant_plan,
     double_plan,
     feasibility_check,
     hypergeom_pmf,
     identity_plan,
+    mix_seed,
     monomial_schedule,
     monte_carlo,
     oracle_enumerate,
@@ -25,6 +30,7 @@ from coinfactory import (
     walk_bias_exact,
     with_range,
 )
+from coinfactory.coins import _SEED_CHUNK
 from coinfactory.errors import DepthTooLarge, InsufficientTail, InvalidParams
 from coinfactory.schedules import MODE_LIPSCHITZ
 
@@ -184,6 +190,49 @@ def test_monte_carlo_deterministic_by_seed():
 def test_monte_carlo_rejects_zero_runs():
     with pytest.raises(InvalidParams):
         monte_carlo(constant_plan(Fraction(1, 3)), Fraction(3, 10), 0, 7)
+
+
+@pytest.mark.parametrize("p", [0, 1, Fraction(3, 2), Fraction(-1, 3)])
+def test_monte_carlo_rejects_p_outside_unit_interval_before_any_replica(p):
+    calls = []
+    with pytest.raises(InvalidParams, match=f"p = {Fraction(p)} "):
+        monte_carlo(lambda src: calls.append(src), p, 10, 7)
+    assert calls == []
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_monte_carlo_rejects_max_tosses_below_one(cap):
+    with pytest.raises(InvalidParams, match=f"max_tosses = {cap} "):
+        monte_carlo(smooth_target(), Fraction(3, 10), 10, 3, max_tosses=cap, undecided="midpoint")
+
+
+def test_monte_carlo_replicas_read_their_own_seeded_streams():
+    # runs = chunk + 1: the last replica is seeded from a second chunk
+    p = Fraction(3, 10)
+    drawn = []
+
+    def record(src):
+        drawn.append(src.draw_bits(16))
+        return OutcomeRecord(drawn[-1][0], 16)
+
+    runs = _SEED_CHUNK + 1
+    monte_carlo(record, p, runs, 501)
+    assert drawn == [GeneratorSource(mix_seed(501, i), p).draw_bits(16) for i in range(runs)]
+
+
+@pytest.mark.parametrize("target, p, digest", [
+    (von_neumann_bit, Fraction(3, 10),
+     "dc597430f11e5cdc7eb17ff829e3b47f5f6de5ac266ada7bbb102e6ad1317adc"),
+    (constant_plan(Fraction(1, 3)), Fraction(3, 10),
+     "08f79a3d1d5ca2b854803351e2664caba9d174dcca37b0e8c05fe31261c7a532"),
+    (monomial_schedule(2), Fraction(1, 3),
+     "4fb5ad5f71e263a918e00fc0ce9b5cce7ce4173f7b443fd6f75a7ab5068bc4c3"),
+], ids=["von_neumann", "const_third", "monomial_2"])
+def test_monte_carlo_reports_frozen(target, p, digest):
+    # captured before replica seeds were hashed in chunks: streams must not move
+    doc = report_to_json(monte_carlo(target, p, 1500, 501))
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_monte_carlo_undecided_policies():
