@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .combinators import (
     FactoryPlan,
+    _check_backend,
     load_plan,
     plan_bias_interval,
     plan_hash,
@@ -60,12 +61,10 @@ def _fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+@_usage_errors
 def _parse_backend(text: str):
-    if text == "exact":
-        return ("exact",)
-    if text.startswith("approx:"):
-        return ("approx", int(text.split(":", 1)[1]))
-    raise argparse.ArgumentTypeError(f"backend must be 'exact' or 'approx:STEPS', got {text!r}")
+    name, sep, steps = text.partition(":")
+    return _check_backend((name, int(steps)) if sep else (name,))
 
 
 @_usage_errors

@@ -220,7 +220,8 @@ def _check_backend(backend):
         return ("exact",)
     if backend[0] == "approx" and len(backend) == 2 and int(backend[1]) >= 1:
         return ("approx", int(backend[1]))
-    raise InvalidParams(f"backend must be ('exact',) or ('approx', steps): {backend!r}")
+    raise InvalidParams(
+        f"backend must be ('exact',) or ('approx', steps) with steps >= 1: {backend!r}")
 
 
 def sum_plan(f: FactoryPlan, g: FactoryPlan, eps, backend=None) -> FactoryPlan:

@@ -61,12 +61,10 @@ class EnvelopeSchedule:
     counts() rounds it against b = binom(n, k) here, in one place:
     count_a = floor(alpha*b), count_b = ceil(beta*b). The float-with-bound
     evaluator works from (alpha, beta) and relies on exactly this rounding
-    to bound the difference from the counts. counts_fn is optional: a
-    schedule with no rational pair passes counts_fn(n, k, b) returning the
-    exact integers (count_a, count_b) instead. In both, b is an optional
+    to bound the difference from the counts. b is an optional
     precomputed binom(n, k), so row walks can thread incremental binomials
     instead of recomputing them. Checkpoints below idle_below are idle:
-    counts (0, binom(n,k)).
+    (alpha, beta) = (0, 1), counts (0, binom(n,k)).
     """
 
     def __init__(
@@ -74,7 +72,6 @@ class EnvelopeSchedule:
         name: str,
         params: dict,
         checkpoint_fn: Callable[[int], Optional[int]],
-        counts_fn=None,
         ab_fn=None,
         idle_below: int = 0,
         metadata_extra: Optional[dict] = None,
@@ -82,7 +79,6 @@ class EnvelopeSchedule:
         self.name = name
         self.params = dict(params)
         self._checkpoint_fn = checkpoint_fn
-        self._counts_fn = counts_fn
         self._ab_fn = ab_fn
         self.idle_below = idle_below
         self._metadata_extra = dict(metadata_extra or {})
@@ -111,18 +107,14 @@ class EnvelopeSchedule:
     def counts(self, n: int, k: int, b: Optional[int] = None) -> tuple[int, int]:
         if self.is_idle(n):
             return 0, binom(n, k) if b is None else b
-        if self._counts_fn is not None:
-            return self._counts_fn(n, k, b)
         if b is None:
             b = binom(n, k)
         alpha, beta = self._ab_fn(n, k)
         return floor_frac_mul(alpha, b), ceil_frac_mul(beta, b)
 
-    def ab_values(self, n: int, k: int) -> Optional[tuple[Fraction, Fraction]]:
+    def ab_values(self, n: int, k: int) -> tuple[Fraction, Fraction]:
         if self.is_idle(n):
             return Fraction(0), Fraction(1)
-        if self._ab_fn is None:
-            return None
         return self._ab_fn(n, k)
 
     def metadata(self) -> dict:
@@ -163,10 +155,14 @@ _SNAPSHOT_STRIDE = 16
 
 
 class _LevelData:
-    """Convolution sums for one checkpoint jump m -> n at target weight k."""
+    """Convolution sums for one checkpoint jump m -> n at target weight k.
+
+    The first checkpoint is the jump from m = 0, whose empty prefix
+    survives whole, so it is ranked as a jump from an idle level.
+    """
 
     __slots__ = ("m", "n", "d", "k", "ta", "total", "da", "db",
-                 "_snapshots", "_memo", "_ctx", "_ilo", "_ihi")
+                 "_snapshots", "_memo", "_ctx", "_ilo", "_ihi", "_idle")
 
     def __init__(self, ctx: "RankContext", m: int, n: int, k: int):
         self.m = m
@@ -176,6 +172,7 @@ class _LevelData:
         self._ctx = ctx
         self._ilo = max(0, k - self.d)
         self._ihi = min(m, k)
+        self._idle = m == 0 or ctx.schedule.is_idle(m)
         self._snapshots = {}
         self._memo = {}
         self._build()
@@ -183,7 +180,7 @@ class _LevelData:
     def _build(self):
         d, k = self.d, self.k
         ilo, ihi = self._ilo, self._ihi
-        if self._ctx.schedule.is_idle(self.m):
+        if self._idle:
             # all prefixes survive with gap = binom(m, i); the Vandermonde
             # total binom(n, k) is also the b that counts(n, k) takes
             self.ta = 0
@@ -206,6 +203,8 @@ class _LevelData:
             raise InvalidSchedule(self.n, k, f"lower consistency: count_a below carried mass by {-self.da}")
         if self.db > self.total:
             raise InvalidSchedule(self.n, k, f"upper consistency: count_b exceeds carried mass by {self.db - self.total}")
+        if self.da > self.db:
+            raise InvalidSchedule(self.n, k, f"count_a {ca_n} above count_b {cb_n}")
 
     def prefix_weight(self, i: int) -> int:
         """Candidates of weight k whose surviving prefix has fewer than i ones."""
@@ -213,7 +212,7 @@ class _LevelData:
             return 0
         if i > self._ihi:
             i = self._ihi + 1
-        if self._ctx.schedule.is_idle(self.m):
+        if self._idle:
             return self._idle_prefix(i)
         if i in self._memo:
             return self._memo[i]
@@ -293,17 +292,6 @@ class RankContext:
             return hit
         return _LevelData(self, m, n, k)
 
-    def first_level(self, n1: int, k: int, rank: int) -> tuple[Decision, int]:
-        ca, cb = self.counts(n1, k)
-        b = binom(n1, k)
-        if not 0 <= ca <= cb <= b:
-            raise InvalidSchedule(n1, k, f"count bounds: 0 <= {ca} <= {cb} <= {b} fails")
-        if rank < ca:
-            return _ONE, 0
-        if rank < cb:
-            return _CONTINUE, rank - ca
-        return _ZERO, 0
-
     def jump_level(
         self, j: int, m: int, n: int, prefix_ones: int, k: int, rho: int, suffix: Sequence[int]
     ) -> tuple[Decision, int]:
@@ -337,10 +325,7 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
             return _CONTINUE, pos
         chunk = draw(n - pos)
         new_ones = ones + sum(chunk)
-        if j == 0:
-            decision, rho = ctx.first_level(n, new_ones, word_lexrank(chunk))
-        else:
-            decision, rho = ctx.jump_level(j, pos, n, ones, new_ones, rho, chunk)
+        decision, rho = ctx.jump_level(j, pos, n, ones, new_ones, rho, chunk)
         ones, pos = new_ones, n
         if decision is not _CONTINUE:
             return decision, pos
@@ -437,12 +422,6 @@ def _eval_exact(schedule: EnvelopeSchedule, p: Fraction, n: int) -> EnvelopeValu
 
 
 def _eval_float(schedule: EnvelopeSchedule, p: Fraction, n: int) -> EnvelopeValues:
-    if schedule.ab_values(n, 0) is None:
-        exact = _eval_exact(schedule, p, n)
-        g = float(exact.g)
-        h = float(exact.h)
-        ulp = 1e-15
-        return EnvelopeValues(g, h, ulp * max(1.0, abs(g)), ulp * max(1.0, abs(h)))
     q = 1 - p
     # anchored binomial pmf recurrence in outward-rounded double intervals
     k_star = min(n, int((n + 1) * p))

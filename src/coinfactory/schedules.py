@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 from .engine import EnvelopeSchedule
 from .errors import ExponentNotFound, InvalidParams, MarginViolated
-from .numerics import bernstein_sums, binom_row, dyadic_sqrt_upper, exp_neg_upper
+from .numerics import bernstein_sums, binom, binom_row, dyadic_sqrt_upper, exp_neg_upper
 
 
 def _is_pow2(n: int) -> bool:
@@ -288,24 +288,22 @@ def monomial_schedule(j: int) -> EnvelopeSchedule:
 def corrupt_monomial_fixture() -> EnvelopeSchedule:
     """Monomial p**2 schedule with one planted consistency defect.
 
-    (2,1) is widened to (0,1) so some runs survive the first checkpoint,
-    and count_a(4,2) is forced to 0 while the carried lower mass there is
-    1; any decision touching (4,2) must report an invalid schedule, and
-    validation must flag exactly that cell.
+    (2,1) is widened to (0, 1/2), counts (0,1), so some runs survive the
+    first checkpoint, and (4,2) is set to (0, 1/6), counts (0,1), while the
+    carried lower mass there is 1; any decision touching (4,2) must report
+    an invalid schedule, and validation must flag exactly that cell.
     """
     base = monomial_schedule(2)
-    overrides = {(2, 1): (0, 1), (4, 2): (0, 1)}
+    overrides = {(2, 1): (Fraction(0), Fraction(1, 2)), (4, 2): (Fraction(0), Fraction(1, 6))}
 
-    def counts(n: int, k: int, b: Optional[int] = None) -> tuple[int, int]:
-        if (n, k) in overrides:
-            return overrides[(n, k)]
-        return base.counts(n, k, b)
+    def ab(n: int, k: int) -> tuple[Fraction, Fraction]:
+        return overrides.get((n, k)) or base.ab_values(n, k)
 
     return EnvelopeSchedule(
         "corrupt-monomial",
         {"exponent": 2},
         base.checkpoint,
-        counts,
+        ab_fn=ab,
         metadata_extra={"planted_defect": "count_a(4,2) below carried lower mass"},
     )
 
@@ -459,14 +457,12 @@ def continuous_schedule(params: ContinuousParams) -> EnvelopeSchedule:
         if t < len(shifts):
             acc += shifts[t]
 
-    count_rows = {}
+    # the shifted level polynomials' coefficients, clamped to [0, binom(n, k)]
+    # and divided by it, are the envelope pair; the engine rounds them back
+    coeff_rows = {}
     for t, n in enumerate(checkpoints):
         pad = n - degrees[t]
-        lo = lows[t].shifted(pad).coeffs
-        hi = highs[t].shifted(pad).coeffs
-        cas = [max(0, math.floor(x)) for x in lo]
-        cbs = [min(b, math.ceil(x)) for x, b in zip(hi, binom_row(n))]
-        count_rows[n] = (cas, cbs)
+        coeff_rows[n] = (lows[t].shifted(pad).coeffs, highs[t].shifted(pad).coeffs)
 
     params.degrees = tuple(degrees)
     params.shifts = tuple(shifts)
@@ -485,15 +481,16 @@ def continuous_schedule(params: ContinuousParams) -> EnvelopeSchedule:
     def checkpoint(t: int) -> Optional[int]:
         return checkpoints[t] if 0 <= t < len(checkpoints) else None
 
-    def counts(n: int, k: int, b: Optional[int] = None) -> tuple[int, int]:
-        cas, cbs = count_rows[n]
-        return cas[k], cbs[k]
+    def ab(n: int, k: int) -> tuple[Fraction, Fraction]:
+        lo, hi = coeff_rows[n]
+        b = binom(n, k)
+        return Fraction(max(0, lo[k]), b), Fraction(min(b, hi[k]), b)
 
     return EnvelopeSchedule(
         "continuous",
         {"eps": eps, "levels": params.levels, "degrees": params.degrees, "shifts": params.shifts},
         checkpoint,
-        counts,
+        ab_fn=ab,
         metadata_extra={
             "levels": list(params.levels),
             "degrees": list(params.degrees),

@@ -206,6 +206,9 @@ def _replica_runner(target: Target, max_tosses: Optional[int]):
             return simulate(target, src, ctx, max_tosses=max_tosses)
 
         return run
+    if max_tosses is not None:
+        raise InvalidParams(f"max_tosses applies only to envelope schedules, "
+                            f"not to a {type(target).__name__} target")
     if isinstance(target, FactoryPlan):
         return lambda src: run_plan(target, src)
     if isinstance(target, WalkConfig):

@@ -100,6 +100,14 @@ def test_simulate_max_tosses_below_one_is_rejected(cap, capsys):
     assert text.splitlines() == [f"error: max_tosses = {cap} must be at least 1"]
 
 
+def test_simulate_max_tosses_on_a_walk_target_is_one_error_line(capsys):
+    rc, text = run(["simulate", "--target", "walk:200", "--p", "1/4", "--runs", "50",
+                    "--max-tosses", "5"], capsys)
+    assert rc == 3
+    assert text.splitlines() == [
+        "error: max_tosses applies only to envelope schedules, not to a WalkConfig target"]
+
+
 # --- verify ---------------------------------------------------------------------
 
 
@@ -219,5 +227,14 @@ def test_unknown_target_is_usage_error(capsys):
 def test_rejected_argument_values_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
+    assert info.value.code == 2
+    assert "invalid value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr", ["p", "p+1/5"])
+@pytest.mark.parametrize("backend", ["approx:0", "approx:-3"])
+def test_backend_with_steps_below_one_is_usage_error(expr, backend, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["compile", expr, "--domain", "1/10:2/5", "--backend", backend])
     assert info.value.code == 2
     assert "invalid value" in capsys.readouterr().err

@@ -113,6 +113,19 @@ def test_decide_flags_planted_inconsistency():
     assert raised > 0
 
 
+@pytest.mark.parametrize("pair", [(Fraction(0), Fraction(2)), (Fraction(2, 3), Fraction(1, 3))],
+                         ids=["count_b_above_binom", "alpha_above_beta"])
+def test_bad_counts_at_the_first_checkpoint_raise(pair):
+    # at (4, 2) the pairs give counts (0, 12) and (4, 2) against binom 6; the
+    # first checkpoint is a jump from the empty prefix and must still check
+    # 0 <= count_a <= count_b <= binom(n, k)
+    bad = EnvelopeSchedule("bad", {}, lambda j: 4 << j, ab_fn=lambda n, k: pair)
+    with pytest.raises(InvalidSchedule):
+        decide(RankContext(bad), (0, 1, 1, 0))
+    with pytest.raises(InvalidSchedule):
+        simulate(bad, TapeSource([0, 1, 1, 0]))
+
+
 # --- envelope evaluation -------------------------------------------------------
 
 
@@ -200,7 +213,6 @@ def test_envelope_eval_float_visits_fewer_weights_than_the_row():
 
 def test_envelope_eval_float_rejects_pair_outside_unit_interval():
     stub = EnvelopeSchedule("stub", {}, lambda j: 1 << j,
-                            lambda n, k, b=None: (0, comb(n, k)),
                             ab_fn=lambda n, k: (Fraction(0), Fraction(2)))
     with pytest.raises(InvalidSchedule):
         envelope_eval(stub, Fraction(1, 3), 16, mode="float-with-bound")

@@ -22,7 +22,7 @@ from coinfactory import (
     validate_schedule,
 )
 from coinfactory.errors import ExponentNotFound, InvalidParams
-from coinfactory.numerics import binom, dyadic_sqrt_upper
+from coinfactory.numerics import binom, dyadic_sqrt_upper, rational_sin
 from coinfactory.schedules import MODE_C2, MODE_LIPSCHITZ
 from coinfactory.verify import HypergeomSpec, hypergeom_pmf
 
@@ -243,3 +243,18 @@ def test_continuous_certificate_is_stable():
     continuous_schedule(p1)
     continuous_schedule(p2)
     assert p1.certificate_hash == p2.certificate_hash
+
+
+def test_continuous_float_eval_brackets_exact_values():
+    # criterion 6's schedule; float-with-bound works from its (alpha, beta)
+    # pairs, so the radius carries the count-rounding slack
+    f = lambda p: Fraction(1, 2) + rational_sin(p) / 8
+    sched = continuous_schedule(ContinuousParams(f, Fraction(1, 4), (5, 6, 7)))
+    for n in (32, 64, 128):
+        for p in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10)):
+            exact = envelope_eval(sched, p, n)
+            approx = envelope_eval(sched, p, n, mode="float-with-bound")
+            assert abs(Fraction(approx.g) - exact.g) <= Fraction(approx.g_err)
+            assert abs(Fraction(approx.h) - exact.h) <= Fraction(approx.h_err)
+            if n == 128:
+                assert approx.g_err < 1e-3 and approx.h_err < 1e-3

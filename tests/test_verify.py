@@ -29,7 +29,9 @@ from coinfactory import (
     von_neumann_bit,
     walk_bias_exact,
     with_range,
+    WalkConfig,
 )
+from coinfactory import verify
 from coinfactory.coins import _SEED_CHUNK
 from coinfactory.errors import DepthTooLarge, InsufficientTail, InvalidParams
 from coinfactory.schedules import MODE_LIPSCHITZ
@@ -204,6 +206,21 @@ def test_monte_carlo_rejects_p_outside_unit_interval_before_any_replica(p):
 def test_monte_carlo_rejects_max_tosses_below_one(cap):
     with pytest.raises(InvalidParams, match=f"max_tosses = {cap} "):
         monte_carlo(smooth_target(), Fraction(3, 10), 10, 3, max_tosses=cap, undecided="midpoint")
+
+
+@pytest.mark.parametrize("target", [
+    constant_plan(Fraction(1, 3)),
+    WalkConfig(200),
+    lambda src: OutcomeRecord(src.draw_bits(1)[0], 1),
+], ids=["plan", "walk", "callable"])
+def test_monte_carlo_refuses_max_tosses_it_cannot_enforce(target, monkeypatch):
+    # only the envelope engine takes a toss cap; other targets must refuse
+    # it before any replica builds its source
+    built = []
+    monkeypatch.setattr(verify, "GeneratorSource", lambda *args: built.append(args))
+    with pytest.raises(InvalidParams, match="max_tosses applies only to envelope schedules"):
+        monte_carlo(target, Fraction(1, 4), 50, 7, max_tosses=5, undecided="midpoint")
+    assert built == []
 
 
 def test_monte_carlo_replicas_read_their_own_seeded_streams():
