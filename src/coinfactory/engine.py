@@ -385,7 +385,8 @@ def envelope_eval(
     returns doubles with certified absolute error bounds, computed from the
     schedule's rational envelope values and an outward-rounded binomial
     weight recurrence; count rounding contributes at most
-    sum_k p^k (1-p)^(n-k), which is folded into the bounds.
+    sum_k p^k (1-p)^(n-k), which widens g down and h up before the radii
+    are taken.
 
     The weight recurrence walks outward from the mode and each side stops
     once its weight falls below 2**-70 (see _pmf_walk), so only a few
@@ -443,12 +444,19 @@ def _eval_float(schedule: EnvelopeSchedule, p: Fraction, n: int) -> EnvelopeValu
         ghi = math.nextafter(ghi + tail, math.inf)
         hhi = math.nextafter(hhi + tail, math.inf)
     slack = _rounding_slack(p, q, n)
-    # count_a = floor(alpha * binom) lies in [alpha - 1/binom, alpha]
-    glo -= slack
-    hhi += slack
-    g = 0.5 * (glo + ghi)
-    h = 0.5 * (hlo + hhi)
-    return EnvelopeValues(g, h, (ghi - glo) * 0.5 + slack, (hhi - hlo) * 0.5 + slack)
+    # count_a = floor(alpha * binom) lies in [alpha * binom - 1, alpha * binom]
+    # and count_b in [beta * binom, beta * binom + 1]; the radii cover this
+    glo = math.nextafter(glo - slack, -math.inf)
+    hhi = math.nextafter(hhi + slack, math.inf)
+    g, g_err = _midpoint(glo, ghi)
+    h, h_err = _midpoint(hlo, hhi)
+    return EnvelopeValues(g, h, g_err, h_err)
+
+
+def _midpoint(lo: float, hi: float) -> tuple[float, float]:
+    """The midpoint of [lo, hi] and a radius about it covering [lo, hi], rounded up."""
+    mid = 0.5 * (lo + hi)
+    return mid, math.nextafter(max(hi - mid, mid - lo), math.inf)
 
 
 # a side of the pmf walk may stop once its weight's upper end is below this
@@ -490,8 +498,11 @@ def _pmf_walk(n, k_star, w_star_iv, ratio):
 
 
 def _rounding_slack(p: Fraction, q: Fraction, n: int) -> float:
-    # sum_k p^k q^(n-k) <= (n+1) max(p,q)^n, upper bounded in doubles
-    base = iv_from_fraction(max(p, q))
+    # sum_k p^k q^(n-k) <= min((n+1) M^n, M^(n+1) / (M - m)), M = max(p, q),
+    # m = min(p, q), since the sum is (M^(n+1) - m^(n+1)) / (M - m); upper
+    # bounded in doubles, the second only when M > m
+    big, small = max(p, q), min(p, q)
+    base = iv_from_fraction(big)
     acc = (1.0, 1.0)
     e = n
     sq = base
@@ -501,10 +512,12 @@ def _rounding_slack(p: Fraction, q: Fraction, n: int) -> float:
         e >>= 1
         if e:
             sq = iv_mul(sq, sq)
-    hi = acc[1] * (n + 1)
-    if hi == 0.0:
-        hi = 5e-324 * (n + 1)
-    return math.nextafter(hi, math.inf)
+    bound = math.nextafter(acc[1] * (n + 1), math.inf)
+    gap = iv_from_fraction(big - small)[0]
+    if gap > 0.0:
+        geometric = math.nextafter(iv_mul(acc, base)[1] / gap, math.inf)
+        bound = min(bound, geometric)
+    return bound
 
 
 @dataclass(frozen=True)

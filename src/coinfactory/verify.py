@@ -1,9 +1,10 @@
 """Ground-truth machinery: exhaustive oracles, Monte Carlo, tail profiling.
 
-Everything here is allowed to be slow and literal. The oracle enumerates
-complete tapes and classifies each one by actually running the target,
-so its accept/undecided masses are exact rationals that an engine or
-plan implementation can be compared against bit for bit.
+Everything here is allowed to be slow and literal. The oracle walks the
+target's read tree: it runs the target on tapes in lexicographic order
+and credits each run's result to every tape that shares the bits the run
+read, so its accept/undecided masses are exact rationals that an engine
+or plan implementation can be compared against bit for bit.
 """
 
 from __future__ import annotations
@@ -89,11 +90,15 @@ class FeasibilityResult:
 
 
 def oracle_enumerate(target: Target, depth: int, p) -> tuple[Fraction, Fraction]:
-    """Classify every depth-bit tape; exact accept and undecided masses.
+    """Exact accept and undecided masses of the target over depth-bit tapes.
 
-    A tape that raises an exhaustion before deciding counts as undecided.
-    Unread suffix bits integrate out, so summing full-tape weights over
-    the classes is exact.
+    Premise: a run's result is a function of the bits it drew, so the
+    unread suffix integrates out. Tapes are visited in lexicographic order;
+    a run that read r bits decides all 2^(depth - r) tapes sharing those
+    bits, which weigh p^ones q^(r - ones) together, and the next run starts
+    past that prefix. So the target runs once per leaf of its read tree.
+    A tape that raises an exhaustion before deciding counts as undecided;
+    it was read to its end, so nothing is skipped there.
     """
     if depth > MAX_ORACLE_DEPTH:
         raise DepthTooLarge(f"depth {depth} exceeds the oracle cap {MAX_ORACLE_DEPTH}")
@@ -105,27 +110,28 @@ def oracle_enumerate(target: Target, depth: int, p) -> tuple[Fraction, Fraction]
     run = _replica_runner(target, None)
     a, b = p.numerator, p.denominator
     c = b - a
-    pa = [1] * (depth + 1)
-    qa = [1] * (depth + 1)
-    for i in range(1, depth + 1):
-        pa[i] = pa[i - 1] * a
-        qa[i] = qa[i - 1] * c
-    accept_num = 0
-    undec_num = 0
-    for m in range(1 << depth):
-        bits = [(m >> (depth - 1 - j)) & 1 for j in range(depth)]
-        tape = TapeSource(bits)
+    pa = [a ** i for i in range(depth + 1)]
+    qa = [c ** i for i in range(depth + 1)]
+    ba = [b ** i for i in range(depth + 1)]
+    mass = {1: 0, None: 0}  # accept and undecided numerators over b^depth
+    m = 0
+    while m < 1 << depth:
+        tape = TapeSource((m >> (depth - 1 - j)) & 1 for j in range(depth))
         try:
             bit = run(tape).bit
         except (SourceExhausted, Undecided):
             bit = None
-        ones = m.bit_count()
-        if bit == 1:
-            accept_num += pa[ones] * qa[depth - ones]
-        elif bit is None:
-            undec_num += pa[ones] * qa[depth - ones]
-    den = b ** depth
-    return Fraction(accept_num, den), Fraction(undec_num, den)
+        r = tape.position
+        prefix = m >> (depth - r)
+        if prefix << (depth - r) != m:
+            raise InvalidParams(
+                f"target read {r} bits on tape {m:0{depth}b}, a prefix already "
+                f"credited: its result is not a function of the bits it drew")
+        if bit in mass:
+            ones = prefix.bit_count()
+            mass[bit] += pa[ones] * qa[r - ones] * ba[depth - r]
+        m = (prefix + 1) << (depth - r)
+    return Fraction(mass[1], ba[depth]), Fraction(mass[None], ba[depth])
 
 
 # --- distribution utilities --------------------------------------------------

@@ -211,6 +211,21 @@ def test_envelope_eval_float_visits_fewer_weights_than_the_row():
     assert len(visited) < 4096 + 1
 
 
+@given(st.integers(min_value=0, max_value=200),
+       st.one_of(st.just(Fraction(1, 2)),
+                 st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000),
+                              max_denominator=1000)))
+def test_rounding_slack_bounds_the_weight_sum(n, p):
+    q = 1 - p
+    weights = sum(p ** k * q ** (n - k) for k in range(n + 1))
+    slack = engine._rounding_slack(p, q, n)
+    assert weights <= Fraction(slack)
+    if p != Fraction(1, 2):
+        # no looser than the geometric bound M^(n+1) / (M - m), up to rounding
+        big, small = max(p, q), min(p, q)
+        assert Fraction(slack) <= big ** (n + 1) / (big - small) * (1 + Fraction(1, 10 ** 12))
+
+
 def test_envelope_eval_float_rejects_pair_outside_unit_interval():
     stub = EnvelopeSchedule("stub", {}, lambda j: 1 << j,
                             ab_fn=lambda n, k: (Fraction(0), Fraction(2)))

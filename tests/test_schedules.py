@@ -258,3 +258,13 @@ def test_continuous_float_eval_brackets_exact_values():
             assert abs(Fraction(approx.h) - exact.h) <= Fraction(approx.h_err)
             if n == 128:
                 assert approx.g_err < 1e-3 and approx.h_err < 1e-3
+
+
+def test_continuous_float_radius_is_tight_at_the_first_checkpoint():
+    # at n = 32, p = 1/10 the count-rounding slack is the sum of p^k q^(n-k),
+    # about 0.039; it widens g and h once, so each radius stays near half that
+    f = lambda p: Fraction(1, 2) + rational_sin(p) / 8
+    sched = continuous_schedule(ContinuousParams(f, Fraction(1, 4), (5, 6, 7)))
+    p = Fraction(1, 10)
+    approx = envelope_eval(sched, p, 32, mode="float-with-bound")
+    assert approx.g_err < 0.05 and approx.h_err < 0.05

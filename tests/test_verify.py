@@ -5,6 +5,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coinfactory import (
     GeneratorSource,
@@ -23,9 +25,11 @@ from coinfactory import (
     report_from_json,
     report_to_json,
     save_report,
+    simulate,
     smooth_schedule,
     SmoothnessParams,
     tail_profile,
+    TapeSource,
     von_neumann_bit,
     walk_bias_exact,
     with_range,
@@ -33,7 +37,13 @@ from coinfactory import (
 )
 from coinfactory import verify
 from coinfactory.coins import _SEED_CHUNK
-from coinfactory.errors import DepthTooLarge, InsufficientTail, InvalidParams
+from coinfactory.errors import (
+    DepthTooLarge,
+    InsufficientTail,
+    InvalidParams,
+    SourceExhausted,
+    Undecided,
+)
 from coinfactory.schedules import MODE_LIPSCHITZ
 
 from helpers import hypergeom_expect
@@ -85,6 +95,101 @@ def test_oracle_triple_agreement_on_cheap_targets():
     for target, bias in targets:
         accept, undecided = oracle_enumerate(target, 10, p)
         assert accept <= bias <= accept + undecided
+
+
+def literal_oracle(target, depth, p):
+    """Reference oracle: run the target on every one of the 2^depth tapes."""
+    run = verify._replica_runner(target, None)
+    q = 1 - p
+    accept = undecided = Fraction(0)
+    for m in range(1 << depth):
+        bits = [(m >> (depth - 1 - j)) & 1 for j in range(depth)]
+        try:
+            bit = run(TapeSource(bits)).bit
+        except (SourceExhausted, Undecided):
+            bit = None
+        weight = p ** sum(bits) * q ** (depth - sum(bits))
+        if bit == 1:
+            accept += weight
+        elif bit is None:
+            undecided += weight
+    return accept, undecided
+
+
+MOVES = st.one_of(
+    st.just(("bit",)),
+    st.tuples(st.just("chunk"), st.integers(min_value=1, max_value=5)),
+    st.tuples(st.just("stop"), st.integers(min_value=0, max_value=1)),
+    st.just(("undecided",)),
+)
+
+
+def read_tree(moves, salt):
+    """A target whose next move is a function of the bits it has drawn.
+
+    Each prefix picks a move: draw one bit by next_bit, draw a chunk by
+    draw_bits (which may cross the tape end), output 0 or 1, or give up.
+    """
+    def target(src):
+        drawn = []
+        while True:
+            key = int("1" + "".join(map(str, drawn)), 2)
+            move = moves[(key * 2654435761 + salt) % len(moves)]
+            if move[0] == "bit":
+                drawn.append(src.next_bit())
+            elif move[0] == "chunk":
+                drawn.extend(src.draw_bits(move[1]))
+            elif move[0] == "stop":
+                return OutcomeRecord(move[1], len(drawn))
+            else:
+                raise Undecided(len(drawn))
+
+    return target
+
+
+@given(st.lists(MOVES, min_size=1, max_size=12), st.integers(min_value=0, max_value=1 << 16),
+       st.integers(min_value=1, max_value=10),
+       st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100))
+def test_oracle_leaf_walk_equals_literal_enumeration(moves, salt, depth, p):
+    target = read_tree(moves, salt)
+    assert oracle_enumerate(target, depth, p) == literal_oracle(target, depth, p)
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_oracle_of_a_target_that_reads_nothing_runs_once(bit):
+    runs = []
+    target = lambda src: runs.append(src) or OutcomeRecord(bit, 0)
+    masses = oracle_enumerate(target, 12, Fraction(1, 3))
+    assert len(runs) == 1
+    assert masses == literal_oracle(target, 12, Fraction(1, 3)) == (Fraction(bit), Fraction(0))
+
+
+def test_oracle_refuses_a_target_whose_result_is_not_a_function_of_its_bits():
+    # reads three bits on its first call and one on each later call, so the
+    # second run's one-bit prefix covers tapes the first run already credited
+    calls = []
+
+    def target(src):
+        calls.append(src)
+        bits = src.draw_bits(3 if len(calls) == 1 else 1)
+        return OutcomeRecord(bits[-1], len(bits))
+
+    with pytest.raises(InvalidParams, match="not a function of the bits it drew"):
+        oracle_enumerate(target, 8, Fraction(1, 3))
+    assert len(calls) == 2
+
+
+def test_oracle_runs_the_monomial_once_per_read_prefix():
+    # x^2 reads two bits and decides on each of the four prefixes
+    schedule = monomial_schedule(2)
+    runs = []
+
+    def target(src):
+        runs.append(src)
+        return simulate(schedule, src)
+
+    assert oracle_enumerate(target, 16, Fraction(1, 3)) == (Fraction(1, 9), Fraction(0))
+    assert len(runs) == 4
 
 
 # --- hypergeometric pmf -----------------------------------------------------------
