@@ -201,6 +201,13 @@ def double_plan(child: FactoryPlan, eps_prime, backend=None) -> FactoryPlan:
             f"child range upper bound {q_hi} exceeds 1/2 - 4*eps' = {Fraction(1, 2) - 4 * eps_prime}"
         )
     backend = _check_backend(backend)
+    if backend == ("exact",):
+        # search the doubling schedule now, so a margin that admits no
+        # first checkpoint is refused here and not at the first run
+        try:
+            _exact_backend(eps_prime)
+        except InvalidParams as e:
+            raise InvalidParams(f"exact doubler with eps' = {eps_prime}: {e}") from None
     data = [("eps_prime", eps_prime), ("backend", backend)]
     if backend is not None and backend[0] == "approx":
         data.append(("walk_bias_bound", walk_error_bound(backend[1], q_hi)))

@@ -5,9 +5,15 @@ A schedule supplies, for every checkpoint n and weight k, integer counts
 length are classified OutputOne / Continue / OutputZero by rank against
 those counts, under one fixed total order of candidates: by prefix
 one-count, then prefix rank among the surviving (Continue) words, then
-suffix lexicographic rank. That order makes the rank of a word computable
-incrementally in O(n) big-integer operations without materializing any
-word sets, while reproducing exactly the sets whose sizes are the counts.
+suffix lexicographic rank. That order reproduces exactly the sets whose
+sizes are the counts without materializing any word set.
+
+A run never needs the rank itself, only where it falls against the two
+counts. So it carries the rank as an exact integer interval: the prefix
+weights are added as each level is reached, and each chunk contributes
+the width of its binomial until its lexicographic rank is read. A rank
+is read, oldest chunk first (it carries the largest weight), only while
+the interval crosses a count; idle levels never read one.
 """
 
 from __future__ import annotations
@@ -292,21 +298,6 @@ class RankContext:
             return hit
         return _LevelData(self, m, n, k)
 
-    def jump_level(
-        self, j: int, m: int, n: int, prefix_ones: int, k: int, rho: int, suffix: Sequence[int]
-    ) -> tuple[Decision, int]:
-        data = self.level_data(j, m, n, k)
-        r = (
-            data.prefix_weight(prefix_ones)
-            + rho * binom(n - m, k - prefix_ones)
-            + word_lexrank(suffix)
-        )
-        if r < data.da:
-            return _ONE, 0
-        if r < data.db:
-            return _CONTINUE, r - data.da
-        return _ZERO, 0
-
 
 def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
               limit: float) -> tuple[Decision, int]:
@@ -316,19 +307,45 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
     decision that is not Continue, or with Continue when the next
     checkpoint would pass limit or a finite schedule has no next one.
     Returns the decision and the length ranked.
+
+    The rank r of the word at the current level is known to lie in
+    [lo, lo + width): lo counts the prefix weights and the ranks already
+    read, and width is the product of the binomials of the chunks whose
+    ranks are not yet read. A chunk's rank is read, oldest chunk first,
+    only while that interval crosses da or db.
     """
     schedule = ctx.schedule
-    pos = ones = rho = j = 0
+    pos = ones = j = lo = 0
+    width = 1
+    unread = []  # (chunk, binom(len(chunk), weight)) in draw order
+    head = 0     # unread[head:] are the chunks whose ranks are not read
     while True:
         n = schedule.checkpoint(j)
         if n is None or n > limit:
             return _CONTINUE, pos
         chunk = draw(n - pos)
         new_ones = ones + sum(chunk)
-        decision, rho = ctx.jump_level(j, pos, n, ones, new_ones, rho, chunk)
+        data = ctx.level_data(j, pos, n, new_ones)
+        size = binom(n - pos, new_ones - ones)
+        # r = prefix_weight + (r_prev - da_prev) * size + lexrank(chunk)
+        lo = data.prefix_weight(ones) + lo * size
+        width *= size
+        unread.append((chunk, size))
         ones, pos = new_ones, n
-        if decision is not _CONTINUE:
-            return decision, pos
+        da, db = data.da, data.db
+        while True:
+            if lo + width <= da:
+                return _ONE, pos
+            if lo >= db:
+                return _ZERO, pos
+            if da <= lo and lo + width <= db:
+                break
+            # the oldest unread chunk carries the largest weight
+            old, old_size = unread[head]
+            head += 1
+            width //= old_size
+            lo += word_lexrank(old) * width
+        lo -= da
         j += 1
 
 

@@ -536,6 +536,14 @@ def compile_to_plan(ast: Ast, domain: Interval, backend=None) -> FactoryPlan:
     dom_bounds = PlanBounds(domain.lo, domain.hi, "declared")
 
     def build(node: Ast) -> FactoryPlan:
+        # a constructor refusing its parameters, such as an exact doubler
+        # whose margin admits no first checkpoint, blocks at this node
+        try:
+            return build_node(node)
+        except InvalidParams as e:
+            raise CompileBlocked((Diagnostic("error", node.span, str(e), annot[node]),)) from None
+
+    def build_node(node: Ast) -> FactoryPlan:
         if isinstance(node, NumberLiteral):
             return constant_plan(node.value, domain=dom_bounds)
         if isinstance(node, VarP):

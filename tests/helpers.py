@@ -9,7 +9,7 @@ from itertools import combinations
 
 import mpmath
 
-from coinfactory import Decision, HypergeomSpec, comb, hypergeom_pmf
+from coinfactory import Decision, HypergeomSpec, comb, hypergeom_pmf, word_lexrank
 
 mpmath.mp.dps = 60
 
@@ -29,6 +29,45 @@ def all_words(n: int, k: int):
 def brute_lexrank(word) -> int:
     word = tuple(word)
     return all_words(len(word), sum(word)).index(word)
+
+
+def word_unrank(n: int, k: int, rank: int) -> tuple:
+    """The length-n word with k ones at 0-based position rank, ascending lex."""
+    word = []
+    for pos in range(n):
+        zeros_first = comb(n - pos - 1, k)
+        if rank < zeros_first:
+            word.append(0)
+        else:
+            rank -= zeros_first
+            word.append(1)
+            k -= 1
+    return tuple(word)
+
+
+def exact_rank_run(ctx, draw, limit):
+    """The eager rank loop: every chunk's full rank at every checkpoint.
+
+    The reference for the engine's rank loop, which reads a chunk's rank
+    only when its prefix weights cannot decide. Same contract: returns
+    (decision, length ranked).
+    """
+    pos = ones = rho = j = 0
+    while True:
+        n = ctx.schedule.checkpoint(j)
+        if n is None or n > limit:
+            return Decision.Continue, pos
+        chunk = draw(n - pos)
+        new_ones = ones + sum(chunk)
+        data = ctx.level_data(j, pos, n, new_ones)
+        r = data.prefix_weight(ones) + rho * comb(n - pos, new_ones - ones) + word_lexrank(chunk)
+        ones, pos = new_ones, n
+        if r < data.da:
+            return Decision.OutputOne, pos
+        if r >= data.db:
+            return Decision.OutputZero, pos
+        rho = r - data.da
+        j += 1
 
 
 def materialize_sets(schedule, depth: int):

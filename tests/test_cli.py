@@ -37,6 +37,18 @@ def test_compile_reports_bound_errors(capsys):
     assert "sum can reach 1" in text
 
 
+def test_compile_refuses_an_exact_doubler_that_cannot_run(tmp_path, capsys):
+    # (p*p) - 0 on [1/10, 2/5] needs a doubler with eps' = 1/800, whose
+    # schedule has no first checkpoint below 2**40
+    out = tmp_path / "plan.json"
+    rc, text = run(["compile", "(p*p) - 0", "--domain", "1/10:2/5", "--backend", "exact",
+                    "--out", str(out)], capsys)
+    assert rc == 2
+    assert text.startswith("error at 0..9: exact doubler with eps' = 1/800: ")
+    assert "no admissible first checkpoint" in text
+    assert not out.exists()
+
+
 def test_compile_reports_syntax_errors(capsys):
     rc, text = run(["compile", "p +", "--domain", "1/10:2/5"], capsys)
     assert rc == 2

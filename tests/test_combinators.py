@@ -44,6 +44,7 @@ from coinfactory import (
     walk_bias_exact,
     with_range,
 )
+from coinfactory import combinators
 from coinfactory.combinators import _KINDS
 from coinfactory.errors import (
     BackendRequired,
@@ -129,6 +130,15 @@ def test_sum_requires_headroom():
     with pytest.raises(MarginViolated):
         sum_plan(constant_plan(Fraction(3, 5)), constant_plan(Fraction(2, 5)),
                  Fraction(1, 10))
+
+
+def test_exact_doubler_builds_its_schedule_when_made():
+    # eps = 1/10 gives eps' = 1/80, whose doubling schedule has a first
+    # checkpoint below 2**40; the node is built with its backend ready
+    plan = sum_plan(constant_plan(Fraction(1, 5)), constant_plan(Fraction(1, 5)),
+                    Fraction(1, 10), ("exact",))
+    assert plan.get("eps_prime") == Fraction(1, 80)
+    assert Fraction(1, 80) in combinators._EXACT_BACKENDS
 
 
 def test_difference_requires_positive_margin():

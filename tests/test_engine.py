@@ -4,11 +4,14 @@ Ground truth throughout is tests/helpers.py, which materializes accept and
 reject sets as literal word lists and ranks by sorted enumeration.
 """
 
+import io
 import math
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinfactory import (
@@ -33,12 +36,13 @@ from coinfactory.numerics import comb
 from coinfactory.errors import InvalidSchedule, SourceExhausted, Undecided
 from coinfactory.schedules import MODE_LIPSCHITZ
 
-from helpers import all_words, brute_decide, brute_lexrank, materialize_sets
+from helpers import (all_words, brute_decide, brute_lexrank, exact_rank_run, materialize_sets,
+                     word_unrank)
 
 
-def lipschitz_params():
+def lipschitz_params(eps=Fraction(1, 4)):
     return SmoothnessParams(
-        lambda p: Fraction(1, 2) + p / 4, MODE_LIPSCHITZ, Fraction(1, 4), Fraction(1, 4)
+        lambda p: Fraction(1, 2) + p / 4, MODE_LIPSCHITZ, Fraction(1, 4), eps
     )
 
 
@@ -124,6 +128,109 @@ def test_bad_counts_at_the_first_checkpoint_raise(pair):
         decide(RankContext(bad), (0, 1, 1, 0))
     with pytest.raises(InvalidSchedule):
         simulate(bad, TapeSource([0, 1, 1, 0]))
+
+
+# --- lazy ranks ------------------------------------------------------------------
+
+
+_RANK_SCHEDULES = {
+    # the smaller margins idle below 8, 64 and 256 bits, so idle levels
+    # precede the active ones
+    "lipschitz_1/4": lambda: smooth_schedule(lipschitz_params(Fraction(1, 4))),
+    "lipschitz_1/10": lambda: smooth_schedule(lipschitz_params(Fraction(1, 10))),
+    "lipschitz_1/25": lambda: smooth_schedule(lipschitz_params(Fraction(1, 25))),
+    "monomial_1": lambda: monomial_schedule(1),
+    "monomial_2": lambda: monomial_schedule(2),
+    "monomial_3": lambda: monomial_schedule(3),
+    "corrupt": corrupt_monomial_fixture,
+}
+
+
+@lru_cache(maxsize=None)
+def _rank_contexts(name):
+    # one context per loop, so neither reads levels the other built
+    schedule = _RANK_SCHEDULES[name]()
+    return RankContext(schedule), RankContext(schedule)
+
+
+def _outcome(run, ctx, word, cap):
+    try:
+        return run(ctx, TapeSource(word).draw_bits, math.inf if cap is None else cap)
+    except (InvalidSchedule, SourceExhausted) as e:
+        return type(e).__name__, str(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_RANK_SCHEDULES)),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=2048)))
+def test_lazy_rank_loop_equals_the_exact_loop(name, seed, cap):
+    # each example runs a batch of tapes, so the runs spread over early
+    # and late decisions, long refinements, caps and exhausted tapes
+    lazy_ctx, exact_ctx = _rank_contexts(name)
+    rng = random.Random(seed)
+    for _ in range(20):
+        p = rng.choice([0.1, 0.3, 0.5, 0.9])
+        length = rng.choice([rng.randrange(20), rng.randrange(2049), 2048])
+        word = [int(rng.random() < p) for _ in range(length)]
+        assert _outcome(engine._rank_run, lazy_ctx, word, cap) == \
+            _outcome(exact_rank_run, exact_ctx, word, cap)
+
+
+def _counting_lexrank(monkeypatch):
+    lengths = []
+
+    def counted(word):
+        lengths.append(len(word))
+        return word_lexrank(word)
+
+    monkeypatch.setattr(engine, "word_lexrank", counted)
+    return lengths
+
+
+def test_large_jump_replica_reads_no_rank(monkeypatch):
+    # idle levels always continue, and at the first active level (2**15)
+    # the unread chunks' interval is far narrower than the gaps between
+    # da and db, so the replica settles that level on prefix weights alone
+    lengths = _counting_lexrank(monkeypatch)
+    sched = smooth_schedule(lipschitz_params(Fraction(1, 250)))
+    source = GeneratorSource(1, Fraction(3, 10))
+    try:
+        simulate(sched, source, max_tosses=sched.idle_below)
+    except Undecided:
+        pass
+    assert source.tosses_consumed == sched.idle_below == 1 << 15
+    assert lengths == []
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["below_da", "at_da"])
+def test_a_crossing_interval_reads_the_long_chunks(monkeypatch, side):
+    # checkpoints 256, 512, ...; 256 is idle, so the prefix's rank is its
+    # lexrank rho and the run continues unread. At (512, k) the rank is
+    # prefix_weight(i) + rho * C + lexrank(chunk), C = binom(256, k - i);
+    # rho and the chunk are picked so that da falls strictly inside the
+    # block [prefix_weight(i) + rho * C, ... + C) and r is da - 1 or da
+    sched = EnvelopeSchedule("thirds", {}, lambda j: 256 << j,
+                             ab_fn=lambda n, k: (Fraction(1, 3), Fraction(2, 3)),
+                             idle_below=512)
+    for k in range(256, 512):
+        da = comb(512, k) // 3
+        i, below = 0, 0
+        while below + comb(256, i) * comb(256, k - i) <= da:
+            below += comb(256, i) * comb(256, k - i)
+            i += 1
+        size = comb(256, k - i)
+        rho, rem = divmod(da - below, size)
+        if 1 <= rem < size - 1:
+            break
+    lex = rem - 1 + side
+    word = word_unrank(256, i, rho) + word_unrank(256, k - i, lex)
+    assert word_lexrank(word[256:]) == lex
+    lengths = _counting_lexrank(monkeypatch)
+    decision = decide(RankContext(sched), word)
+    assert lengths == [256, 256]
+    assert decision is (Decision.OutputOne if side == 0 else Decision.Continue)
+    assert (decision, 512) == exact_rank_run(RankContext(sched), io.BytesIO(bytes(word)).read, 512)
 
 
 # --- envelope evaluation -------------------------------------------------------
