@@ -28,6 +28,7 @@ from .errors import CoinFactoryError, CompileBlocked, ExprSyntaxError
 from .lang import Interval, compile_to_plan, parse
 from .schedules import corrupt_monomial_fixture
 from .verify import (
+    _frac_str,
     monte_carlo,
     oracle_enumerate,
     report_from_json,
@@ -87,10 +88,6 @@ def _resolve_target(text: str):
     raise argparse.ArgumentTypeError(
         f"unknown target {text!r}; expected double:EPS, walk:N, monomial:J, "
         f"or fixture:corrupt-monomial")
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _load_target(args):

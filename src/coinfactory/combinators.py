@@ -81,11 +81,11 @@ class FactoryPlan:
     data: tuple = ()
     _cache: dict = field(default_factory=dict, repr=False, hash=False, compare=False)
 
-    def get(self, name: str, default=None):
+    def get(self, name: str):
         for key, value in self.data:
             if key == name:
                 return value
-        return default
+        raise KeyError(name)
 
 
 def with_range(plan: FactoryPlan, lo, hi) -> FactoryPlan:

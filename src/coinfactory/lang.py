@@ -543,6 +543,12 @@ def compile_to_plan(ast: Ast, domain: Interval, backend=None) -> FactoryPlan:
         except InvalidParams as e:
             raise CompileBlocked((Diagnostic("error", node.span, str(e), annot[node]),)) from None
 
+    def scaled(node: Ast, a: Fraction, other: Ast) -> FactoryPlan:
+        # c * x, x * c and x / c: the multiple a * x of the other operand
+        if a > 1:
+            return scalar_mul_plan(a, build(other), 1 - annot[node].hi, backend)
+        return product(constant_plan(a, domain=dom_bounds), build(other))
+
     def build_node(node: Ast) -> FactoryPlan:
         if isinstance(node, NumberLiteral):
             return constant_plan(node.value, domain=dom_bounds)
@@ -569,34 +575,20 @@ def compile_to_plan(ast: Ast, domain: Interval, backend=None) -> FactoryPlan:
             ra = _literal_value(node.right)
             if la is not None and ra is not None:
                 return constant_plan(la * ra, domain=dom_bounds)
-            if la is not None or ra is not None:
-                a = la if la is not None else ra
-                other = node.right if la is not None else node.left
-                if a > 1:
-                    return scalar_mul_plan(a, build(other), 1 - annot[node].hi, backend)
-                return product(constant_plan(a, domain=dom_bounds), build(other))
+            if la is not None:
+                return scaled(node, la, node.right)
+            if ra is not None:
+                return scaled(node, ra, node.left)
             return product(build(node.left), build(node.right))
         if isinstance(node, Div):
             ra = _literal_value(node.right)
             if ra is not None:
-                # x / c is a scalar multiple
-                a = 1 / ra
-                if a > 1:
-                    return scalar_mul_plan(a, build(node.left), 1 - annot[node].hi, backend)
-                return product(constant_plan(a, domain=dom_bounds), build(node.left))
-            num_plan = build(node.left)
-            den_plan = build(node.right)
+                return scaled(node, 1 / ra, node.left)
             den_iv = annot[node.right]
             quot_iv = annot[node]
-            la = _literal_value(node.left)
-            if la is not None and la > 1:
-                raise CompileBlocked((Diagnostic(
-                    "error", node.span,
-                    f"literal numerator {la} above 1 is not a coin", quot_iv),))
             eps = min(den_iv.lo, 1 - quot_iv.hi)
-            plan = quotient_plan(num_plan, den_plan, eps, den_iv.hi, backend,
+            return quotient_plan(build(node.left), build(node.right), eps, den_iv.hi, backend,
                                  quot_range=(quot_iv.lo, quot_iv.hi))
-            return plan
         raise InvalidParams(f"unknown AST node {type(node).__name__}")
 
     plan = build(ast)

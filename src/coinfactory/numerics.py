@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 DYADIC_BITS = 64
+# rational_sin's precision: its error stays under 2**-SIN_BITS
+SIN_BITS = 128
 # largest n whose binomials are cached; above it a cache would pin megabit
 # integers in memory
 BINOM_CACHE_LIMIT = 1 << 14
@@ -52,37 +54,37 @@ def ceil_frac_mul(fr: Fraction, m: int) -> int:
     return -((-fr.numerator * m) // fr.denominator)
 
 
-def dyadic_sqrt_upper(x: Fraction, bits: int = DYADIC_BITS) -> Fraction:
-    """Smallest multiple of 2**-bits whose square is >= x (x >= 0)."""
+def dyadic_sqrt_upper(x: Fraction) -> Fraction:
+    """Smallest multiple of 2**-DYADIC_BITS whose square is >= x (x >= 0)."""
     if x < 0:
         raise ValueError("sqrt of negative")
     if x == 0:
         return Fraction(0)
     num, den = x.numerator, x.denominator
-    # smallest integer t with t*t*den >= num << (2*bits)
-    target = num << (2 * bits)
+    # smallest integer t with t*t*den >= num << (2*DYADIC_BITS)
+    target = num << (2 * DYADIC_BITS)
     s = math.isqrt(target // den)
     if s * s * den < target:
         s += 1
-    return Fraction(s, 1 << bits)
+    return Fraction(s, 1 << DYADIC_BITS)
 
 
-def dyadic_sqrt_lower(x: Fraction, bits: int = DYADIC_BITS) -> Fraction:
-    """Largest multiple of 2**-bits whose square is <= x (x >= 0)."""
+def dyadic_sqrt_lower(x: Fraction) -> Fraction:
+    """Largest multiple of 2**-DYADIC_BITS whose square is <= x (x >= 0)."""
     if x < 0:
         raise ValueError("sqrt of negative")
     num, den = x.numerator, x.denominator
-    s = math.isqrt((num << (2 * bits)) // den)
-    return Fraction(s, 1 << bits)
+    s = math.isqrt((num << (2 * DYADIC_BITS)) // den)
+    return Fraction(s, 1 << DYADIC_BITS)
 
 
-def exp_neg_upper(t: Fraction, bits: int = DYADIC_BITS) -> Fraction:
+def exp_neg_upper(t: Fraction) -> Fraction:
     """Dyadic upper bound on exp(-t) for t >= 0, clamped to (0, 1].
 
     Argument reduction t = u * 2**s with u <= 1/2, an exact Taylor lower
     bound for exp(u), a ceiling reciprocal, then s ceiling squarings. Every
     rounding step goes up, so the result always dominates exp(-t). Very
-    large t underflows to 2**-bits, which is still a valid upper bound.
+    large t underflows to 2**-DYADIC_BITS, which is still a valid upper bound.
     """
     if t < 0:
         raise ValueError("negative argument")
@@ -99,28 +101,28 @@ def exp_neg_upper(t: Fraction, bits: int = DYADIC_BITS) -> Fraction:
     for j in range(1, 41):
         term = term * u / j
         total += term
-    work = bits + 80
+    work = DYADIC_BITS + 80
     one = 1 << work
     # X >= 2**work * exp(-u), then square up s times
     x = -((-one * total.denominator) // total.numerator)
     for _ in range(s):
         x = -((-(x * x)) // one)
-    shift = work - bits
+    shift = work - DYADIC_BITS
     out = -((-x) // (1 << shift))
     out = max(out, 1)
-    return min(Fraction(out, 1 << bits), Fraction(1))
+    return min(Fraction(out, 1 << DYADIC_BITS), Fraction(1))
 
 
-def rational_sin(x: Fraction, bits: int = 128) -> Fraction:
-    """Dyadic approximation of sin(x) within 2**-bits, for 0 <= x <= 1.
+def rational_sin(x: Fraction) -> Fraction:
+    """Dyadic approximation of sin(x) within 2**-SIN_BITS, for 0 <= x <= 1.
 
     Alternating Taylor series, truncated once the next term drops below
-    2**-(bits+8); the partial sum is then floor-rounded to bits+4
-    fractional digits. Total error stays under 2**-bits.
+    2**-(SIN_BITS+8); the partial sum is then floor-rounded to SIN_BITS+4
+    fractional digits. Total error stays under 2**-SIN_BITS.
     """
     if not 0 <= x <= 1:
         raise ValueError("argument outside [0, 1]")
-    cutoff = Fraction(1, 1 << (bits + 8))
+    cutoff = Fraction(1, 1 << (SIN_BITS + 8))
     term = x
     total = Fraction(0)
     j = 1
@@ -130,7 +132,7 @@ def rational_sin(x: Fraction, bits: int = 128) -> Fraction:
         term = term * x * x / ((j + 1) * (j + 2))
         j += 2
         sign = -sign
-    scale = 1 << (bits + 4)
+    scale = 1 << (SIN_BITS + 4)
     return Fraction((total.numerator * scale) // total.denominator, scale)
 
 

@@ -37,50 +37,31 @@ def _is_pow2(n: int) -> bool:
 
 @dataclass
 class DoublingParams:
-    """Margin eps plus hinge coefficients C1, C2 and first active checkpoint.
+    """Margin eps; the hinge coefficients C1, C2 and first checkpoint n0 follow.
 
-    C1 and C2 must be at least twice their minimal admissible values,
-    (2+sqrt(2))/eps and 72/(1-exp(-2 eps^2)); the defaults are exactly
-    twice those floors, rounded outward through dyadic surrogates. n0 is
-    the first power of two where the upper envelope fits below 1 for every
-    k; it is searched when not supplied and cross-checked when it is.
+    C1 and C2 are exactly twice their minimal admissible values,
+    (2+sqrt(2))/eps and 72/(1-exp(-2 eps^2)), rounded outward through
+    dyadic surrogates. n0 is the first power of two where the upper
+    envelope fits below 1 for every k.
     """
 
     eps: Fraction
-    C1: Optional[Fraction] = None
-    C2: Optional[Fraction] = None
-    n0: Optional[int] = None
-    _sqrt_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _exp_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    C1: Fraction = field(init=False)
+    C2: Fraction = field(init=False)
+    n0: int = field(init=False)
+    _sqrt_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _exp_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.eps = Fraction(self.eps)
         if not 0 < self.eps < Fraction(1, 8):
             raise InvalidParams("eps must lie strictly between 0 and 1/8")
-        two_eps_sq = 2 * self.eps * self.eps
-        exp_up = exp_neg_upper(two_eps_sq)
+        exp_up = exp_neg_upper(2 * self.eps * self.eps)
         if exp_up >= 1:
             raise InvalidParams("eps too small: exp surrogate saturates at 1")
-        if self.C1 is None:
-            self.C1 = (4 + 2 * dyadic_sqrt_upper(Fraction(2))) / self.eps
-        else:
-            self.C1 = Fraction(self.C1)
-            scaled = self.C1 * self.eps - 4
-            if scaled < 0 or scaled * scaled < 8:
-                raise InvalidParams("C1 below twice the admissible floor")
-        if self.C2 is None:
-            self.C2 = Fraction(144) / (1 - exp_up)
-        else:
-            self.C2 = Fraction(self.C2)
-            if self.C2 * (1 - exp_up) < 144:
-                raise InvalidParams("C2 below twice the admissible floor")
-        searched = self._search_n0()
-        if self.n0 is None:
-            self.n0 = searched
-        elif self.n0 != searched:
-            raise InvalidParams(
-                f"n0={self.n0} is not the first admissible checkpoint ({searched})"
-            )
+        self.C1 = (4 + 2 * dyadic_sqrt_upper(Fraction(2))) / self.eps
+        self.C2 = Fraction(144) / (1 - exp_up)
+        self.n0 = self._search_n0()
 
     def sqrt_surrogate(self, n: int) -> Fraction:
         """Dyadic upper bound on sqrt(2/n); monotone decreasing in n."""
@@ -185,6 +166,9 @@ def _doubling_envelope(params: DoublingParams, name: str, idle_below: int,
 MODE_LIPSCHITZ = "lipschitz"
 MODE_C2 = "twice-differentiable"
 
+# the smooth and continuous families check their targets at j/_GRID
+_GRID = 1024
+
 
 @dataclass
 class SmoothnessParams:
@@ -200,7 +184,6 @@ class SmoothnessParams:
     mode: str
     C: Fraction
     eps: Fraction
-    grid_denominator: int = 1024
 
     def __post_init__(self):
         if self.mode not in (MODE_LIPSCHITZ, MODE_C2):
@@ -221,12 +204,11 @@ class SmoothnessParams:
 
 
 def smooth_schedule(params: SmoothnessParams) -> EnvelopeSchedule:
-    g = params.grid_denominator
-    for j in range(1, g):
-        v = Fraction(params.target(Fraction(j, g)))
+    for j in range(1, _GRID):
+        v = Fraction(params.target(Fraction(j, _GRID)))
         if not params.eps < v < 1 - params.eps:
             raise InvalidParams(
-                f"margin violated: f({j}/{g}) = {v} outside ({params.eps}, {1 - params.eps})"
+                f"margin violated: f({j}/{_GRID}) = {v} outside ({params.eps}, {1 - params.eps})"
             )
     first_active = 1
     while params.delta(first_active) >= params.eps:
@@ -355,6 +337,13 @@ def polya_exponent(q: HomogeneousPoly, max_n: int) -> int:
     raise ExponentNotFound(f"no shift exponent up to {max_n} clears the coefficients")
 
 
+# the count rounding slack (at most one per coefficient, summing to under
+# (n+1)*max(p,1-p)**n) stays well below the offsets from this degree on
+_MIN_DEGREE = 32
+_MAX_DEGREE = 1 << 13
+_MAX_SHIFT = 4096
+
+
 @dataclass
 class ContinuousParams:
     """Continuous target with per-level precision exponents.
@@ -362,21 +351,15 @@ class ContinuousParams:
     levels[t] = i means level t uses approximation offset 3*2**-i and must
     certify Bernstein error < 2**-i on the grid. degrees, shifts,
     grid_errors and certificate_hash are filled in by continuous_schedule.
-    min_degree keeps the count rounding slack (at most one per coefficient,
-    summing to under (n+1)*max(p,1-p)**n) well below the offsets.
     """
 
     target: Callable[[Fraction], Fraction]
     eps: Fraction
     levels: tuple
-    min_degree: int = 32
-    max_degree: int = 1 << 13
-    max_shift: int = 4096
-    grid_denominator: int = 1024
-    degrees: Optional[tuple] = None
-    shifts: Optional[tuple] = None
-    grid_errors: Optional[tuple] = None
-    certificate_hash: Optional[str] = None
+    degrees: Optional[tuple] = field(default=None, init=False)
+    shifts: Optional[tuple] = field(default=None, init=False)
+    grid_errors: Optional[tuple] = field(default=None, init=False)
+    certificate_hash: Optional[str] = field(default=None, init=False)
 
     def __post_init__(self):
         self.eps = Fraction(self.eps)
@@ -401,13 +384,12 @@ def continuous_schedule(params: ContinuousParams) -> EnvelopeSchedule:
     """
     f = params.target
     eps = params.eps
-    g = params.grid_denominator
     fgrid = {}
-    for j in range(g + 1):
-        x = Fraction(j, g)
+    for j in range(_GRID + 1):
+        x = Fraction(j, _GRID)
         v = Fraction(f(x))
         if not eps <= v <= 1 - eps:
-            raise MarginViolated(f"f({j}/{g}) = {v} outside [{eps}, {1 - eps}]")
+            raise MarginViolated(f"f({j}/{_GRID}) = {v} outside [{eps}, {1 - eps}]")
         fgrid[x] = v
 
     degrees = []
@@ -416,11 +398,11 @@ def continuous_schedule(params: ContinuousParams) -> EnvelopeSchedule:
     errors = []
     for t, i in enumerate(params.levels):
         tol = Fraction(1, 1 << i)
-        m = params.min_degree if t == 0 else 2 * degrees[-1]
+        m = _MIN_DEGREE if t == 0 else 2 * degrees[-1]
         while True:
-            if m > params.max_degree:
+            if m > _MAX_DEGREE:
                 raise InvalidParams(
-                    f"level {i}: no degree up to {params.max_degree} meets 2**-{i} on the grid"
+                    f"level {i}: no degree up to {_MAX_DEGREE} meets 2**-{i} on the grid"
                 )
             samples = [Fraction(f(Fraction(l, m))) for l in range(m + 1)]
             row = list(binom_row(m))
@@ -446,8 +428,8 @@ def continuous_schedule(params: ContinuousParams) -> EnvelopeSchedule:
     shifts = []
     for t in range(len(degrees) - 1):
         dm = degrees[t + 1] - degrees[t]
-        s_low = polya_exponent(lows[t + 1].minus(lows[t].shifted(dm)), params.max_shift)
-        s_high = polya_exponent(highs[t].shifted(dm).minus(highs[t + 1]), params.max_shift)
+        s_low = polya_exponent(lows[t + 1].minus(lows[t].shifted(dm)), _MAX_SHIFT)
+        s_high = polya_exponent(highs[t].shifted(dm).minus(highs[t + 1]), _MAX_SHIFT)
         shifts.append(max(s_low, s_high))
 
     checkpoints = []
@@ -468,7 +450,7 @@ def continuous_schedule(params: ContinuousParams) -> EnvelopeSchedule:
     params.shifts = tuple(shifts)
     params.grid_errors = tuple(errors)
     cert = {
-        "grid_denominator": g,
+        "grid_denominator": _GRID,
         "levels": [
             {"i": i, "degree": m, "max_error": str(e)}
             for i, m, e in zip(params.levels, degrees, errors)

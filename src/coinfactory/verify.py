@@ -316,7 +316,7 @@ def _wilson_997(p_hat: Fraction, n: int) -> tuple[Fraction, Fraction]:
 # --- tail profiling -----------------------------------------------------------
 
 
-def tail_profile(report: SimulationReport, points: Optional[Sequence[int]] = None) -> TailFit:
+def tail_profile(report: SimulationReport) -> TailFit:
     """Least-squares geometric fit of the empirical tail.
 
     Drops the idle plateau (leading tail values equal to 1) and all zero
@@ -325,9 +325,6 @@ def tail_profile(report: SimulationReport, points: Optional[Sequence[int]] = Non
     computed floats.
     """
     curve = list(report.tail_curve)
-    if points is not None:
-        wanted = set(int(x) for x in points)
-        curve = [(n, v) for n, v in curve if n in wanted]
     while curve and curve[0][1] == 1:
         curve.pop(0)
     curve = [(n, v) for n, v in curve if v > 0]

@@ -14,6 +14,8 @@ from coinfactory import (
     CallbackCoeffs,
     ConstantCoeffs,
     Interval,
+    MODE_LIPSCHITZ,
+    SmoothnessParams,
     TapeSource,
     average,
     bounds,
@@ -22,6 +24,7 @@ from coinfactory import (
     constant_plan,
     difference_plan,
     double_plan,
+    envelope_eval,
     envelope_plan,
     identity_plan,
     load_plan,
@@ -39,6 +42,7 @@ from coinfactory import (
     scalar_mul_plan,
     series_general_plan,
     series_plan,
+    smooth_schedule,
     sum_plan,
     von_neumann_bit,
     walk_bias_exact,
@@ -217,6 +221,33 @@ def test_constant_plan_oracle_bracket_shrinks():
 def test_product_oracle_is_exact_monomial():
     plan = product(identity_plan(), identity_plan())
     assert oracle_enumerate(plan, 2, Fraction(1, 3)) == (Fraction(1, 9), Fraction(0))
+
+
+def test_envelope_leaf_oracle_is_exact_monomial():
+    plan = envelope_plan(monomial_schedule(2), ref="monomial:2")
+    assert oracle_enumerate(plan, 8, Fraction(1, 3)) == (Fraction(1, 9), Fraction(0))
+
+
+def test_opaque_envelope_leaf_oracle_equals_envelope_eval():
+    sched = smooth_schedule(SmoothnessParams(
+        lambda p: Fraction(1, 2) + p / 4, MODE_LIPSCHITZ, Fraction(1, 4), Fraction(1, 4)))
+    p = Fraction(3, 10)
+    accept, undecided = oracle_enumerate(envelope_plan(sched), 16, p)
+    values = envelope_eval(sched, p, 16)
+    assert accept == values.g
+    assert accept + undecided == values.h
+
+
+def test_envelope_leaf_reload_keeps_hash_and_bits(tmp_path):
+    plan = envelope_plan(monomial_schedule(2), ref="monomial:2")
+    path = tmp_path / "leaf.json"
+    save_plan(plan, path)
+    back = load_plan(path)
+    assert plan_hash(back) == plan_hash(plan)
+    # p**2 decides at its first checkpoint, n = 2: heads twice or not
+    for tape, bit in (([1, 1, 0], 1), ([1, 0, 1], 0), ([0, 1, 1], 0), ([0, 0, 0], 0)):
+        a, b = run_plan(plan, TapeSource(tape)), run_plan(back, TapeSource(tape))
+        assert (a.bit, a.tosses) == (b.bit, b.tosses) == (bit, 2)
 
 
 def test_series_oracle_brackets_closed_form():

@@ -31,7 +31,7 @@ from coinfactory import (
     word_lexrank,
 )
 from coinfactory import engine
-from coinfactory.engine import EnvelopeSchedule, _LevelData
+from coinfactory.engine import EnvelopeSchedule, Violation, _LevelData
 from coinfactory.numerics import comb
 from coinfactory.errors import InvalidSchedule, SourceExhausted, Undecided
 from coinfactory.schedules import MODE_LIPSCHITZ
@@ -414,6 +414,36 @@ def test_validate_corrupt_fixture_pinpoints_cell():
     report = validate_schedule(corrupt_monomial_fixture(), 16)
     assert any(v.n == 4 and v.k == 2 and v.kind == "lower-consistency"
                for v in report.violations)
+
+
+def _monomial_with(cell, pair):
+    """p**2 schedule with one (alpha, beta) pair replaced."""
+    base = monomial_schedule(2)
+    return EnvelopeSchedule(
+        "planted", {"exponent": 2}, base.checkpoint,
+        ab_fn=lambda n, k: pair if (n, k) == cell else base.ab_values(n, k))
+
+
+def test_validate_reports_beta_above_one():
+    # beta = 2 at (4, 3): counts (2, 8) against binom 4, and 8 also exceeds
+    # the upper mass 2 carried from n = 2
+    sched = _monomial_with((4, 3), (Fraction(1, 2), Fraction(2)))
+    assert validate_schedule(sched, 8).violations == [
+        Violation("bounds", 4, 3, 2, 8),
+        Violation("upper-consistency", 4, 3, 8, 2),
+    ]
+    assert validate_schedule(sched, 8, check_bounds=False).violations == [
+        Violation("upper-consistency", 4, 3, 8, 2),
+    ]
+
+
+def test_validate_reports_upper_defect():
+    # beta = 1/2 at (4, 2): count_b 3 of binom 6 is in bounds, but only
+    # the one word 11 survives n = 2 with both heads, so the carried mass is 1
+    sched = _monomial_with((4, 2), (Fraction(1, 6), Fraction(1, 2)))
+    expected = [Violation("upper-consistency", 4, 2, 3, 1)]
+    assert validate_schedule(sched, 8).violations == expected
+    assert validate_schedule(sched, 8, check_bounds=False).violations == expected
 
 
 def test_dump_envelope_csv(tmp_path):

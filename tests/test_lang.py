@@ -320,6 +320,29 @@ def test_quotient_plan_hashes_are_frozen():
         assert plan_hash(plan) == digest, backend
 
 
+def test_scalar_multiple_plan_hashes_are_frozen():
+    # literal products fold, c <= 1 becomes a product with a constant coin,
+    # c > 1 a scalar multiple; x / c takes the same paths as x * (1/c)
+    expected = {
+        "2 * 1/5": "b05db18f1195a4ac0b56215798e0574fccb5759f6ec98b302176e157d565333f",
+        "1/2 * p": "456e985ecce9ba57fd90d6e6518c00a8f3336759753b961580b686ad4a97d713",
+        "p / 2": "456e985ecce9ba57fd90d6e6518c00a8f3336759753b961580b686ad4a97d713",
+        "p * 3/2": "09f7f4d0fcb692b4cb5c9a6f56fb92a84b22ef5b2b524f6a667092007f8fd456",
+        "p / 1/2": "6115b18289267214429a26b5dc7d22802d2515731f354535dd8ef73879717956",
+    }
+    for expr, digest in expected.items():
+        plan = compile_to_plan(parse(expr), DOM, backend=("exact",))
+        assert plan_hash(plan) == digest, expr
+
+
+def test_literal_numerator_above_one_blocks_at_the_literal():
+    with pytest.raises(CompileBlocked) as info:
+        compile_to_plan(parse("3/2 / (2 - p)"), DOM)
+    (diag,) = info.value.diagnostics
+    assert diag.span == (0, 3)
+    assert diag.message == "constant must lie in [0, 1]"
+
+
 def test_quotient_race_with_polynomial_h_coin():
     # h = (1/2 + p^2) - p has Bernstein coefficients (1/2, 0, 1/2) at degree 2
     target = Fraction(10, 27)

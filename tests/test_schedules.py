@@ -1,5 +1,6 @@
 """Envelope schedule families: doubling, smooth, monomial, Polya, continuous."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,29 @@ def test_doubling_params_validation():
         DoublingParams(Fraction(1, 8))  # eps must be strictly below 1/8
     with pytest.raises(InvalidParams):
         DoublingParams(Fraction(0))
+
+
+def test_params_take_only_their_inputs():
+    def inputs(cls):
+        return tuple(f.name for f in fields(cls) if f.init)
+
+    assert inputs(DoublingParams) == ("eps",)
+    assert inputs(SmoothnessParams) == ("target", "mode", "C", "eps")
+    assert inputs(ContinuousParams) == ("target", "eps", "levels")
+
+
+def test_doubling_constants_follow_from_eps():
+    expected = {
+        Fraction(1, 10): ("314905618990423338285/4611686018427387904",
+                          "885443715538058477568/121756668610066127", 1 << 18),
+        Fraction(3, 25): ("524842698317372230475/9223372036854775808",
+                          "166020696663385964544/32730557006950699", 1 << 17),
+        Fraction(1, 20): ("314905618990423338285/2305843009213693952",
+                          "442721857769029238784/15333919982481769", 1 << 21),
+    }
+    for eps, (c1, c2, n0) in expected.items():
+        params = DoublingParams(eps)
+        assert (params.C1, params.C2, params.n0) == (Fraction(c1), Fraction(c2), n0), eps
 
 
 def test_doubling_startup_threshold():
