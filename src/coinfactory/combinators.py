@@ -546,7 +546,7 @@ def envelope_plan(schedule, ref: Optional[str] = None,
         PlanBounds(Fraction(0), Fraction(1), "propagated"),
         data=(("ref", ref if ref is not None else "opaque"),),
     )
-    plan._cache["schedule"] = schedule
+    plan._cache["ctx"] = RankContext(schedule)
     return plan
 
 
@@ -603,8 +603,7 @@ _EXACT_BACKENDS: dict = {}
 
 def _exact_backend(eps_prime: Fraction):
     if eps_prime not in _EXACT_BACKENDS:
-        schedule = doubling_schedule(DoublingParams(eps_prime))
-        _EXACT_BACKENDS[eps_prime] = (schedule, RankContext(schedule))
+        _EXACT_BACKENDS[eps_prime] = RankContext(doubling_schedule(DoublingParams(eps_prime)))
     return _EXACT_BACKENDS[eps_prime]
 
 
@@ -776,8 +775,8 @@ def _run_double(plan: FactoryPlan, source: CoinSource) -> int:
     feed = PlanSource(plan.children[0], source)
     if backend[0] == "approx":
         return approx_double_bit(WalkConfig(backend[1]), feed).bit
-    schedule, ctx = _exact_backend(plan.get("eps_prime"))
-    return simulate(schedule, feed, ctx).bit
+    ctx = _exact_backend(plan.get("eps_prime"))
+    return simulate(ctx.schedule, feed, ctx).bit
 
 
 def _bias_double(plan: FactoryPlan, p: Fraction, kids: list) -> tuple:
@@ -863,9 +862,8 @@ def _bias_race(plan: FactoryPlan, p: Fraction, kids: list) -> tuple:
 
 
 def _run_envelope(plan: FactoryPlan, source: CoinSource) -> int:
-    schedule = plan._cache["schedule"]
-    ctx = plan._cache.setdefault("ctx", RankContext(schedule))
-    return simulate(schedule, source, ctx).bit
+    ctx = plan._cache["ctx"]
+    return simulate(ctx.schedule, source, ctx).bit
 
 
 def _load_envelope(kids: list, data: dict, domain: PlanBounds, stored: PlanBounds) -> FactoryPlan:

@@ -164,13 +164,14 @@ class _LevelData:
     """Convolution sums for one checkpoint jump m -> n at target weight k.
 
     The first checkpoint is the jump from m = 0, whose empty prefix
-    survives whole, so it is ranked as a jump from an idle level.
+    survives whole, so it is ranked as a jump from an idle level. b is
+    binom(n, k) if the caller has it.
     """
 
     __slots__ = ("m", "n", "d", "k", "ta", "total", "da", "db",
                  "_snapshots", "_memo", "_ctx", "_ilo", "_ihi", "_idle")
 
-    def __init__(self, ctx: "RankContext", m: int, n: int, k: int):
+    def __init__(self, ctx: "RankContext", m: int, n: int, k: int, b: Optional[int] = None):
         self.m = m
         self.n = n
         self.d = n - m
@@ -181,36 +182,43 @@ class _LevelData:
         self._idle = m == 0 or ctx.schedule.is_idle(m)
         self._snapshots = {}
         self._memo = {}
-        self._build()
+        self._build(b)
 
-    def _build(self):
+    def _build(self, b: Optional[int]):
         d, k = self.d, self.k
         ilo, ihi = self._ilo, self._ihi
         if self._idle:
             # all prefixes survive with gap = binom(m, i); the Vandermonde
             # total binom(n, k) is also the b that counts(n, k) takes
             self.ta = 0
-            self.total = b = binom(self.n, k)
+            self.total = b = binom(self.n, k) if b is None else b
         else:
-            ta = cum = 0
-            snap = self._snapshots
-            for i, cval, ca, cb in self._terms(ilo, ihi + 1, binom(d, k - ilo)):
+            ta = tb = 0
+            # once per level: kept out of the binom cache, which validating every level would fill
+            for i, cval, ca, cb in self._terms(ilo, ihi + 1, math.comb(d, k - ilo)):
                 if (i - ilo) % _SNAPSHOT_STRIDE == 0:
-                    snap[i] = (cum, cval)
+                    self._snapshots[i] = (tb - ta, cval)
                 ta += cval * ca
-                cum += cval * (cb - ca)
+                tb += cval * cb
             self.ta = ta
-            self.total = cum
-            b = None
+            self.total = tb - ta
         ca_n, cb_n = self._ctx.counts(self.n, k, b)
         self.da = ca_n - self.ta
         self.db = cb_n - self.ta
-        if self.da < 0:
-            raise InvalidSchedule(self.n, k, f"lower consistency: count_a below carried mass by {-self.da}")
-        if self.db > self.total:
-            raise InvalidSchedule(self.n, k, f"upper consistency: count_b exceeds carried mass by {self.db - self.total}")
-        if self.da > self.db:
-            raise InvalidSchedule(self.n, k, f"count_a {ca_n} above count_b {cb_n}")
+
+    def failed_checks(self):
+        """(kind, lhs, rhs, message) for each level check that fails, in order:
+        lower, count_a(n, k) = ta + da >= ta; upper, count_b(n, k) = ta + db
+        <= ta + total; order, da <= db.
+        """
+        ta, da, db, total = self.ta, self.da, self.db, self.total
+        if da < 0:
+            yield "lower-consistency", ta + da, ta, f"lower consistency: count_a below carried mass by {-da}"
+        if db > total:
+            yield ("upper-consistency", ta + db, ta + total,
+                   f"upper consistency: count_b exceeds carried mass by {db - total}")
+        if da > db:
+            yield "order", ta + da, ta + db, f"count_a {ta + da} above count_b {ta + db}"
 
     def prefix_weight(self, i: int) -> int:
         """Candidates of weight k whose surviving prefix has fewer than i ones."""
@@ -218,10 +226,10 @@ class _LevelData:
             return 0
         if i > self._ihi:
             i = self._ihi + 1
-        if self._idle:
-            return self._idle_prefix(i)
         if i in self._memo:
             return self._memo[i]
+        if self._idle:
+            return self._idle_prefix(i)
         base = ((i - self._ilo) // _SNAPSHOT_STRIDE) * _SNAPSHOT_STRIDE + self._ilo
         while base not in self._snapshots:
             base -= _SNAPSHOT_STRIDE
@@ -234,15 +242,20 @@ class _LevelData:
     def _terms(self, start: int, stop: int, cval: int):
         """(i, binom(d, k - i), count_a(m, i), count_b(m, i)) for start <= i < stop.
 
-        cval is binom(d, k - start); both binomials are threaded along i.
+        cval is binom(d, k - start), threaded along i. Only a count not yet
+        memoized needs binom(m, i); misses come in runs, so it is stepped
+        from the previous miss, and it stays out of the binom cache.
         """
         ctx, m, d, k = self._ctx, self.m, self.d, self.k
-        bval = binom(m, start)
+        memo, last = ctx._counts_memo, None
         for i in range(start, stop):
-            ca, cb = ctx.counts(m, i, bval)
-            yield i, cval, ca, cb
+            hit = memo.get((m, i))
+            if hit is None:
+                bval = bval * (m - i + 1) // i if last == i - 1 else math.comb(m, i)
+                last = i
+                hit = ctx.counts(m, i, bval)
+            yield i, cval, hit[0], hit[1]
             cval = cval * (k - i) // (d - k + i + 1)
-            bval = bval * (m - i) // (i + 1)
 
     def _idle_prefix(self, i: int) -> int:
         # sum_{i' < i} t(i'), t(i') = binom(m, i') binom(d, k - i'), streamed by
@@ -250,8 +263,6 @@ class _LevelData:
         # one big-by-small multiply and one exact small divide per term. The
         # walk starts at the nearer end of [ilo, ihi]; from the far end the
         # prefix is total - tail, total = binom(n, k) by Vandermonde.
-        if i in self._memo:
-            return self._memo[i]
         m, d, k = self.m, self.d, self.k
         ilo, ihi = self._ilo, self._ihi
         if i - ilo <= ihi + 1 - i:
@@ -284,19 +295,21 @@ class RankContext:
         hit = self._counts_memo.get(key)
         if hit is None:
             hit = self.schedule.counts(n, k, b)
-            if n <= BINOM_CACHE_LIMIT:
+            # an idle row is (0, binom(n, k)), not worth pinning
+            if n <= BINOM_CACHE_LIMIT and not self.schedule.is_idle(n):
                 self._counts_memo[key] = hit
         return hit
 
     def level_data(self, j: int, m: int, n: int, k: int) -> _LevelData:
-        if n <= BINOM_CACHE_LIMIT:
-            key = (j, k)
-            hit = self._levels.get(key)
-            if hit is None:
-                hit = _LevelData(self, m, n, k)
+        key = (j, k)
+        hit = self._levels.get(key)
+        if hit is None:
+            hit = _LevelData(self, m, n, k)
+            for _, _, _, message in hit.failed_checks():
+                raise InvalidSchedule(n, k, message)
+            if n <= BINOM_CACHE_LIMIT:
                 self._levels[key] = hit
-            return hit
-        return _LevelData(self, m, n, k)
+        return hit
 
 
 def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
@@ -371,10 +384,13 @@ def simulate(
     """Draw to successive checkpoints until the schedule decides.
 
     Intermediate lengths never decide. Raises Undecided when max_tosses
-    would be exceeded or a finite schedule runs out of checkpoints.
+    would be exceeded or a finite schedule runs out of checkpoints, and
+    InvalidParams when ctx ranks another schedule.
     """
     if ctx is None:
         ctx = RankContext(schedule)
+    elif ctx.schedule is not schedule:
+        raise InvalidParams("ctx was built for another schedule")
     start = source.tosses_consumed
     decision, _ = _rank_run(ctx, source.draw_bits, math.inf if max_tosses is None else max_tosses)
     tosses = source.tosses_consumed - start
@@ -426,15 +442,15 @@ def envelope_eval(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _row(schedule: EnvelopeSchedule, n: int):
-    """(k, binom(n, k), count_a, count_b) across row n, binomials threaded."""
+def _row(counts, n: int):
+    """(k, binom(n, k), count_a, count_b) across row n from counts(n, k, b), b threaded."""
     for k, b in enumerate(binom_row(n)):
-        ca, cb = schedule.counts(n, k, b)
+        ca, cb = counts(n, k, b)
         yield k, b, ca, cb
 
 
 def _eval_exact(schedule: EnvelopeSchedule, p: Fraction, n: int) -> EnvelopeValues:
-    cas, cbs = zip(*((ca, cb) for _, _, ca, cb in _row(schedule, n)))
+    cas, cbs = zip(*((ca, cb) for _, _, ca, cb in _row(schedule.counts, n)))
     g, h = bernstein_sums((cas, cbs), p)
     return EnvelopeValues(g, h, Fraction(0), Fraction(0))
 
@@ -564,7 +580,11 @@ def validate_schedule(
 ) -> ValidationReport:
     """Exact big-integer verification of bounds and consecutive consistency.
 
-    Violations are report entries, never exceptions. check_bounds=False
+    Violations are report entries, never exceptions: all bounds ones
+    first, then per cell lower before upper consistency. Each jump between
+    consecutive checkpoints is checked on the level sums a run builds, so
+    a jump from an idle level costs a Vandermonde total per cell; the
+    first checkpoint has only the bounds check. check_bounds=False
     restricts the run to the two convolution inequalities, which is what
     raw (unclamped) envelope variants are validated against.
     """
@@ -572,35 +592,16 @@ def validate_schedule(
         raise InvalidParams(f"max checkpoint {max_checkpoint} must be at least 1")
     points = schedule.checkpoints_upto(max_checkpoint)
     violations: list[Violation] = []
-    rows: dict[int, tuple[list[int], list[int]]] = {}
+    ctx = RankContext(schedule)  # private: the counts memo it fills ends with this call
     for n in points:
-        cas, cbs = rows[n] = ([], [])
-        for k, b, ca, cb in _row(schedule, n):
+        # memoizes the rows' counts, so the jumps below take no binomial for them
+        for k, b, ca, cb in _row(ctx.counts, n):
             if check_bounds and not 0 <= ca <= cb <= b:
                 violations.append(Violation("bounds", n, k, ca, cb))
-            cas.append(ca)
-            cbs.append(cb)
-
     for m, n in zip(points, points[1:]):
-        d = n - m
-        cas_m, cbs_m = rows[m]
-        cas_n, cbs_n = rows[n]
-        for k in range(n + 1):
-            ilo = max(0, k - d)
-            ihi = min(m, k)
-            ta = 0
-            tb = 0
-            cval = binom(d, k - ilo)
-            for i in range(ilo, ihi + 1):
-                ta += cval * cas_m[i]
-                tb += cval * cbs_m[i]
-                if i < ihi:
-                    cval = cval * (k - i) // (d - k + i + 1)
-            if cas_n[k] < ta:
-                violations.append(Violation("lower-consistency", n, k, cas_n[k], ta))
-            if cbs_n[k] > tb:
-                violations.append(Violation("upper-consistency", n, k, cbs_n[k], tb))
-
+        for k, b in enumerate(binom_row(n)):
+            violations += [Violation(kind, n, k, lhs, rhs) for kind, lhs, rhs, _
+                           in _LevelData(ctx, m, n, k, b).failed_checks() if kind != "order"]
     return ValidationReport(max_checkpoint, points, violations)
 
 
@@ -611,5 +612,5 @@ def dump_envelope_csv(schedule: EnvelopeSchedule, max_checkpoint: int, path) -> 
         fh.write(f"# schedule={schedule.name} params={params}\n")
         fh.write("n,k,count_a,count_b\n")
         for n in schedule.checkpoints_upto(max_checkpoint):
-            for k, _, ca, cb in _row(schedule, n):
+            for k, _, ca, cb in _row(schedule.counts, n):
                 fh.write(f"{n},{k},{ca},{cb}\n")

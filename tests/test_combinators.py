@@ -250,6 +250,21 @@ def test_envelope_leaf_reload_keeps_hash_and_bits(tmp_path):
         assert (a.bit, a.tosses) == (b.bit, b.tosses) == (bit, 2)
 
 
+def test_envelope_plan_builds_its_context_once(monkeypatch):
+    built = []
+    real = combinators.RankContext
+
+    def counting(schedule):
+        built.append(schedule)
+        return real(schedule)
+
+    monkeypatch.setattr(combinators, "RankContext", counting)
+    plan = envelope_plan(monomial_schedule(2), ref="monomial:2")
+    for tape in ([1, 1], [1, 0], [0, 1]):
+        run_plan(plan, TapeSource(tape))
+    assert len(built) == 1
+
+
 def test_series_oracle_brackets_closed_form():
     plan = series_plan(ConstantCoeffs(Fraction(1, 8)), Fraction(1, 2), Fraction(1, 8),
                        child=constant_plan(Fraction(1, 4)), backend=("exact",))

@@ -33,7 +33,7 @@ from coinfactory import (
 from coinfactory import engine
 from coinfactory.engine import EnvelopeSchedule, Violation, _LevelData
 from coinfactory.numerics import comb
-from coinfactory.errors import InvalidSchedule, SourceExhausted, Undecided
+from coinfactory.errors import InvalidParams, InvalidSchedule, SourceExhausted, Undecided
 from coinfactory.schedules import MODE_LIPSCHITZ
 
 from helpers import (all_words, brute_decide, brute_lexrank, exact_rank_run, materialize_sets,
@@ -446,6 +446,44 @@ def test_validate_reports_upper_defect():
     assert validate_schedule(sched, 8, check_bounds=False).violations == expected
 
 
+def test_validate_corrupt_fixture_flags_exactly_that_cell():
+    assert validate_schedule(corrupt_monomial_fixture(), 16).violations == [
+        Violation("lower-consistency", 4, 2, 0, 1),
+    ]
+
+
+_pairs = st.tuples(st.fractions(0, 2, max_denominator=24),
+                   st.fractions(0, 2, max_denominator=24)).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponent=st.sampled_from([2, 3]), data=st.data(), pair=_pairs)
+def test_validation_flags_exactly_the_levels_a_run_refuses(exponent, data, pair):
+    # one planted (alpha, beta) with alpha <= beta: validation's consistency
+    # violations and the levels a run refuses are the same cells, and the
+    # run's message gives the violation's excess
+    base = monomial_schedule(exponent)
+    points = base.checkpoints_upto(16)
+    row = data.draw(st.sampled_from(points))
+    cell = (row, data.draw(st.integers(0, row)))
+    sched = EnvelopeSchedule(
+        "planted", {"exponent": exponent}, base.checkpoint,
+        ab_fn=lambda n, k: tuple(pair) if (n, k) == cell else base.ab_values(n, k))
+    first = {}
+    for v in validate_schedule(sched, 16, check_bounds=False).violations:
+        first.setdefault((v.n, v.k), abs(v.lhs - v.rhs))
+    ctx = RankContext(sched)
+    refused = {}
+    for j in range(1, len(points)):
+        m, n = points[j - 1], points[j]
+        for k in range(n + 1):
+            try:
+                ctx.level_data(j, m, n, k)
+            except InvalidSchedule as exc:
+                refused[(n, k)] = int(exc.detail.rsplit(" ", 1)[1])
+    assert refused == first
+
+
 def test_dump_envelope_csv(tmp_path):
     path = tmp_path / "env.csv"
     dump_envelope_csv(monomial_schedule(2), 8, path)
@@ -486,6 +524,15 @@ def test_simulate_smooth_terminates_deterministically():
     assert (a.bit, a.tosses) == (b.bit, b.tosses)
     assert a.bit in (0, 1)
     assert sched.is_checkpoint(a.tosses)
+
+
+def test_simulate_refuses_a_context_for_another_schedule():
+    # ranked with p**3's context the tape would give p**3's answer, bit 0
+    # after 3 tosses; p**2 decides bit 1 after 2
+    with pytest.raises(InvalidParams):
+        simulate(monomial_schedule(2), TapeSource([1, 1, 0]), RankContext(monomial_schedule(3)))
+    out = simulate(monomial_schedule(2), TapeSource([1, 1, 0]))
+    assert (out.bit, out.tosses) == (1, 2)
 
 
 # --- schedule surface --------------------------------------------------------------
