@@ -9,11 +9,15 @@ suffix lexicographic rank. That order reproduces exactly the sets whose
 sizes are the counts without materializing any word set.
 
 A run never needs the rank itself, only where it falls against the two
-counts. So it carries the rank as an exact integer interval: the prefix
-weights are added as each level is reached, and each chunk contributes
-the width of its binomial until its lexicographic rank is read. A rank
-is read, oldest chunk first (it carries the largest weight), only while
-the interval crosses a count; idle levels never read one.
+counts. So it carries the rank as an integer interval: bounds on the
+prefix weights are added as each level is reached, and each chunk
+contributes the width of its binomial until its lexicographic rank is
+read. A rank is read, oldest chunk first (it carries the largest
+weight), only while the interval crosses a count; idle levels never read
+one. From an idle level the prefix weight is bounded by a 128-bit
+fixed-point walk of a few hundred terms instead of summed exactly, and
+the exact sums are taken only when the bounds' error alone keeps the
+interval crossing a count once every rank is read.
 """
 
 from __future__ import annotations
@@ -154,10 +158,10 @@ def word_lexrank(word: Sequence[int]) -> int:
 
 
 # cached per-(jump, k) tables are only built up to BINOM_CACHE_LIMIT;
-# larger jumps stream their convolution sums without keeping rows. From an
-# idle level that stream is the hypergeometric term ratio (_idle_prefix),
-# so a jump costs one big-by-small multiply and divide per term walked.
+# larger jumps stream their convolution sums without keeping rows.
 _SNAPSHOT_STRIDE = 16
+# fractional bits of the fixed-point term walk that bounds an idle prefix
+_W = 128
 
 
 class _LevelData:
@@ -168,8 +172,8 @@ class _LevelData:
     binom(n, k) if the caller has it.
     """
 
-    __slots__ = ("m", "n", "d", "k", "ta", "total", "da", "db",
-                 "_snapshots", "_memo", "_ctx", "_ilo", "_ihi", "_idle")
+    __slots__ = ("m", "n", "d", "k", "ta", "total", "da", "db", "bounded",
+                 "_snapshots", "_memo", "_bounds", "_ctx", "_ilo", "_ihi", "_idle")
 
     def __init__(self, ctx: "RankContext", m: int, n: int, k: int, b: Optional[int] = None):
         self.m = m
@@ -182,6 +186,7 @@ class _LevelData:
         self._idle = m == 0 or ctx.schedule.is_idle(m)
         self._snapshots = {}
         self._memo = {}
+        self._bounds = {}
         self._build(b)
 
     def _build(self, b: Optional[int]):
@@ -205,6 +210,8 @@ class _LevelData:
         ca_n, cb_n = self._ctx.counts(self.n, k, b)
         self.da = ca_n - self.ta
         self.db = cb_n - self.ta
+        # whether prefix_bounds walks: an exact sum below 2**_W costs no more
+        self.bounded = self._idle and self.total >> _W > 0
 
     def failed_checks(self):
         """(kind, lhs, rhs, message) for each level check that fails, in order:
@@ -225,7 +232,7 @@ class _LevelData:
         if i <= self._ilo:
             return 0
         if i > self._ihi:
-            i = self._ihi + 1
+            return self.total
         if i in self._memo:
             return self._memo[i]
         if self._idle:
@@ -257,12 +264,45 @@ class _LevelData:
             yield i, cval, hit[0], hit[1]
             cval = cval * (k - i) // (d - k + i + 1)
 
+    def prefix_bounds(self, i: int) -> tuple[int, int]:
+        """(lo, err) with lo <= prefix_weight(i) <= lo + err.
+
+        A bounded level (idle, total at least 2**_W) bounds the weight by a
+        fixed-point term walk (_walk_bounds). Elsewhere, and once the exact
+        weight is memoized, err is 0.
+        """
+        if self.bounded and self._ilo < i <= self._ihi and i not in self._memo:
+            hit = self._bounds.get(i)
+            if hit is None:
+                hit = self._bounds[i] = self._walk_bounds(i)
+            return hit
+        return self.prefix_weight(i), 0
+
+    def _walk_bounds(self, i: int) -> tuple[int, int]:
+        # t(i') = binom(m, i') binom(d, k - i') is log-concave in i' with mode
+        # floor((k+1)(m+1)/(n+2)). Above the mode the prefix is total minus
+        # the tail from t(i); below it, the tail from t(i-1) of the mirrored
+        # sum over k - i', which swaps m and d. Either way the walk moves
+        # away from the mode. A run reaching this level has taken
+        # binom(m, i) (the last level's total) and binom(d, k - i) (this
+        # chunk's size), so t(i) costs no new binomial up to BINOM_CACHE_LIMIT.
+        m, d, k = self.m, self.d, self.k
+        t = binom(m, i) * binom(d, k - i)
+        if i - 1 > (k + 1) * (m + 1) // (self.n + 2):
+            lo, err = _tail_bounds(m, d, k, i, t)
+            return self.total - lo - err, err
+        t = t * (i * (d - k + i)) // ((m - i + 1) * (k - i + 1))
+        return _tail_bounds(d, m, k, k - i + 1, t)
+
     def _idle_prefix(self, i: int) -> int:
-        # sum_{i' < i} t(i'), t(i') = binom(m, i') binom(d, k - i'), streamed by
-        # the term ratio t(i'+1) / t(i') = (m - i')(k - i') / ((i'+1)(d - k + i'+1)),
-        # one big-by-small multiply and one exact small divide per term. The
-        # walk starts at the nearer end of [ilo, ihi]; from the far end the
-        # prefix is total - tail, total = binom(n, k) by Vandermonde.
+        # the exact weight, which a run takes only where prefix_bounds does
+        # not bound it or leaves its interval crossing a count:
+        # sum_{i' < i} t(i'), t(i') = binom(m, i') binom(d, k - i'), streamed
+        # by the term ratio t(i'+1) / t(i') = (m - i')(k - i') /
+        # ((i'+1)(d - k + i'+1)), one big-by-small multiply and one exact
+        # small divide per term. The walk starts at the nearer end of
+        # [ilo, ihi]; from the far end the prefix is total - tail,
+        # total = binom(n, k) by Vandermonde.
         m, d, k = self.m, self.d, self.k
         ilo, ihi = self._ilo, self._ihi
         if i - ilo <= ihi + 1 - i:
@@ -280,6 +320,30 @@ class _LevelData:
             cum = self.total - tail
         self._memo[i] = cum
         return cum
+
+
+def _tail_bounds(m: int, d: int, k: int, j: int, t: int) -> tuple[int, int]:
+    """(lo, err) with lo <= sum_{j' >= j} binom(m, j') binom(d, k - j') <= lo + err.
+
+    t is the exact term at j, at or past the terms' mode, so the step
+    ratios num/den only fall. Terms relative to t are carried in _W
+    fractional bits, rounded down on the lower side and up on the upper.
+    Once a ratio r is below 1 and the terms left, at most sh r / (1 - r),
+    come to at most one ulp, that ulp closes the upper side.
+    """
+    sl = sh = lo = hi = 1 << _W
+    while True:
+        num, den = (m - j) * (k - j), (j + 1) * (d - k + j + 1)
+        j += 1
+        if num < den and sh * num <= den - num:
+            hi += -(-sh * num // (den - num))
+            break
+        sl = sl * num // den
+        sh = -(-sh * num // den)
+        lo += sl
+        hi += sh
+    lo, hi = (t * lo) >> _W, -((-t * hi) >> _W)
+    return lo, hi - lo
 
 
 class RankContext:
@@ -322,16 +386,21 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
     Returns the decision and the length ranked.
 
     The rank r of the word at the current level is known to lie in
-    [lo, lo + width): lo counts the prefix weights and the ranks already
-    read, and width is the product of the binomials of the chunks whose
+    [lo, lo + err + width): lo counts lower bounds on the prefix weights
+    and the ranks already read, err bounds what the prefix bounds leave
+    out, and width is the product of the binomials of the chunks whose
     ranks are not yet read. A chunk's rank is read, oldest chunk first,
-    only while that interval crosses da or db.
+    only while that interval crosses da or db. Should it still cross once
+    every rank is read, the exact prefix weights replace the bounds.
     """
     schedule = ctx.schedule
-    pos = ones = j = lo = 0
+    pos = ones = j = lo = err = 0
     width = 1
     unread = []  # (chunk, binom(len(chunk), weight)) in draw order
     head = 0     # unread[head:] are the chunks whose ranks are not read
+    # since err was last 0: (bounded level or None, ones before it, prefix
+    # lower bound, size); an exact level adds nothing to fold, only its size
+    pending = []
     while True:
         n = schedule.checkpoint(j)
         if n is None or n > limit:
@@ -341,18 +410,38 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
         data = ctx.level_data(j, pos, n, new_ones)
         size = binom(n - pos, new_ones - ones)
         # r = prefix_weight + (r_prev - da_prev) * size + lexrank(chunk)
-        lo = data.prefix_weight(ones) + lo * size
+        if data.bounded:
+            plo, perr = data.prefix_bounds(ones)
+        else:
+            plo, perr = data.prefix_weight(ones), 0
+        lo = plo + lo * size
+        err = perr + err * size
+        if err:
+            pending.append((data if perr else None, ones, plo, size))
         width *= size
         unread.append((chunk, size))
         ones, pos = new_ones, n
         da, db = data.da, data.db
         while True:
-            if lo + width <= da:
+            hi = lo + err + width
+            if hi <= da:
                 return _ONE, pos
             if lo >= db:
                 return _ZERO, pos
-            if da <= lo and lo + width <= db:
+            if da <= lo and hi <= db:
                 break
+            if head == len(unread):
+                # only err keeps the interval open: fold each level's exact
+                # prefix weight in, scaled by the sizes of the levels after it
+                corr = 0
+                for level, i, bound, level_size in pending:
+                    corr *= level_size
+                    if level is not None:
+                        corr += level.prefix_weight(i) - bound
+                lo += corr
+                err = 0
+                pending.clear()
+                continue
             # the oldest unread chunk carries the largest weight
             old, old_size = unread[head]
             head += 1

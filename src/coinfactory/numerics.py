@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 DYADIC_BITS = 64
 # rational_sin's precision: its error stays under 2**-SIN_BITS
@@ -21,20 +22,69 @@ SIN_BITS = 128
 BINOM_CACHE_LIMIT = 1 << 14
 
 
-@lru_cache(maxsize=1 << 16)
-def comb(n: int, k: int) -> int:
+# C(n, k) with min(k, n - k) at least this and at least n / 8 is built from
+# its prime factorization; below either, math.comb is faster
+FACTOR_COMB_MIN = 2048
+
+# _sieve[j] is 1 when j is prime, for j < len(_sieve); grown on demand
+_sieve = bytearray()
+
+
+def _primes(lo: int, hi: int):
+    """The primes p with lo <= p <= hi, ascending."""
+    global _sieve
+    if len(_sieve) <= hi:
+        size = max(hi + 1, 2 * len(_sieve))
+        sieve = bytearray([1]) * size
+        sieve[:2] = b"\0\0"
+        for p in range(2, math.isqrt(size - 1) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, size, p)))
+        _sieve = sieve
+    return compress(range(lo, hi + 1), memoryview(_sieve)[lo:hi + 1])
+
+
+def _factor_comb(n: int, k: int) -> int:
+    """C(n, k) for 0 <= k <= n as a product tree of its prime powers.
+
+    The exponent of p is sum_j floor(n/p^j) - floor(k/p^j) - floor((n-k)/p^j)
+    (Legendre); above sqrt(n) only j = 1 counts and the exponent is 0 or 1.
+    """
+    r, nk = math.isqrt(n), n - k
+    factors = []
+    for p in _primes(2, r):
+        e, a, b, c = 0, n, k, nk
+        while a:
+            a, b, c = a // p, b // p, c // p
+            e += a - b - c
+        if e:
+            factors.append(p ** e)
+    factors += [p for p in _primes(r + 1, n) if n // p - k // p - nk // p]
+    while len(factors) > 1:
+        last = [factors.pop()] if len(factors) & 1 else []
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + last
+    return factors[0] if factors else 1
+
+
+def _comb(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
+    low = min(k, n - k)
+    if low >= FACTOR_COMB_MIN and 8 * low >= n:
+        return _factor_comb(n, k)
     return math.comb(n, k)
+
+
+@lru_cache(maxsize=1 << 16)
+def comb(n: int, k: int) -> int:
+    return _comb(n, k)
 
 
 def binom(n: int, k: int) -> int:
     """Binomial coefficient, cached only up to BINOM_CACHE_LIMIT."""
     if n <= BINOM_CACHE_LIMIT:
         return comb(n, k)
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+    return _comb(n, k)
 
 
 def binom_row(n: int):

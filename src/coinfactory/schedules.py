@@ -21,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional
 
 from .engine import EnvelopeSchedule
@@ -210,15 +211,17 @@ def smooth_schedule(params: SmoothnessParams) -> EnvelopeSchedule:
             raise InvalidParams(
                 f"margin violated: f({j}/{_GRID}) = {v} outside ({params.eps}, {1 - params.eps})"
             )
+    # one delta per checkpoint, not per cell of its row
+    delta = cache(params.delta)
     first_active = 1
-    while params.delta(first_active) >= params.eps:
+    while delta(first_active) >= params.eps:
         first_active <<= 1
         if first_active > 1 << 40:
             raise InvalidParams("delta never drops below eps")
 
     def ab(n: int, k: int) -> tuple[Fraction, Fraction]:
         fk = Fraction(params.target(Fraction(k, n)))
-        d = params.delta(n)
+        d = delta(n)
         return max(Fraction(0), fk - d), min(Fraction(1), fk + d)
 
     return EnvelopeSchedule(

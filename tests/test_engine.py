@@ -233,6 +233,108 @@ def test_a_crossing_interval_reads_the_long_chunks(monkeypatch, side):
     assert (decision, 512) == exact_rank_run(RankContext(sched), io.BytesIO(bytes(word)).read, 512)
 
 
+def _counting_exact_prefixes(monkeypatch):
+    # the exact prefix weights taken on levels that rank on prefix bounds;
+    # a level that is not bounded is summed exactly from the start
+    calls = []
+    exact = _LevelData._idle_prefix
+
+    def counted(self, i):
+        if self.bounded:
+            calls.append((self.n, i))
+        return exact(self, i)
+
+    monkeypatch.setattr(_LevelData, "_idle_prefix", counted)
+    return calls
+
+
+def _crossing_word(side):
+    # the construction of test_a_crossing_interval_reads_the_long_chunks:
+    # the rank at (512, k) is da - 1 (side 0) or da (side 1)
+    sched = EnvelopeSchedule("thirds", {}, lambda j: 256 << j,
+                             ab_fn=lambda n, k: (Fraction(1, 3), Fraction(2, 3)),
+                             idle_below=512)
+    for k in range(256, 512):
+        da = comb(512, k) // 3
+        i, below = 0, 0
+        while below + comb(256, i) * comb(256, k - i) <= da:
+            below += comb(256, i) * comb(256, k - i)
+            i += 1
+        size = comb(256, k - i)
+        rho, rem = divmod(da - below, size)
+        if 1 <= rem < size - 1:
+            break
+    return sched, word_unrank(256, i, rho) + word_unrank(256, k - i, rem - 1 + side)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["below_da", "at_da"])
+def test_a_crossing_left_open_by_prefix_bounds_takes_the_exact_prefix_once(monkeypatch, side):
+    # once both chunks are read, only the bounded prefix weight of the
+    # idle jump 256 -> 512 keeps [lo, lo + err + 1) across da
+    sched, word = _crossing_word(side)
+    lengths = _counting_lexrank(monkeypatch)
+    calls = _counting_exact_prefixes(monkeypatch)
+    decision = decide(RankContext(sched), word)
+    assert lengths == [256, 256]
+    assert len(calls) == 1 and calls[0][0] == 512
+    assert decision is (Decision.OutputOne if side == 0 else Decision.Continue)
+
+
+def test_large_jump_replica_takes_no_exact_prefix(monkeypatch):
+    # the bounds' error is about 2**-120 of the weights, far inside the
+    # gaps between da and db, so no replica needs an exact prefix
+    calls = _counting_exact_prefixes(monkeypatch)
+    sched = smooth_schedule(lipschitz_params(Fraction(1, 250)))
+    for seed in (1, 2):
+        source = GeneratorSource(seed, Fraction(3, 10))
+        try:
+            simulate(sched, source, max_tosses=sched.idle_below)
+        except Undecided:
+            pass
+        assert source.tosses_consumed == 1 << 15
+    assert calls == []
+
+
+@lru_cache(maxsize=None)
+def _bounded_jump_schedule():
+    # idle below 2**12: the jump 2**11 -> 2**12 ranks on prefix bounds
+    schedule = smooth_schedule(lipschitz_params(Fraction(1, 100)))
+    assert schedule.idle_below == 1 << 12
+    return schedule, RankContext(schedule)
+
+
+def _unrank_from_idle(ctx, n, k, r):
+    """The word of length n and weight k with rank r at checkpoint n, for
+    doubling checkpoints that are idle below n."""
+    if n == 1:
+        return (k,)
+    m = n // 2
+    level = _LevelData(ctx, m, n, k)
+    lo, hi = max(0, k - m), min(m, k)
+    while lo < hi:  # the largest i with prefix_weight(i) <= r
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if level.prefix_weight(mid) <= r else (lo, mid - 1)
+    rho, lex = divmod(r - level.prefix_weight(lo), comb(n - m, k - lo))
+    return _unrank_from_idle(ctx, m, lo, rho) + word_unrank(n - m, k - lo, lex)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=1024, max_value=3072), st.booleans(),
+       st.integers(min_value=-2, max_value=2))
+def test_lazy_rank_loop_equals_the_exact_loop_past_a_bounded_jump(k, at_db, offset):
+    # a rank a step or two from da or db at the first active level 2**12
+    # keeps the interval crossing through the reads of the 2**11-bit
+    # chunks, and then on the prefix bounds' error alone
+    schedule, exact_ctx = _bounded_jump_schedule()
+    level = exact_ctx.level_data(12, 2048, 4096, k)
+    r = (level.db if at_db else level.da) + offset
+    word = _unrank_from_idle(exact_ctx, 4096, k, r)
+    assert sum(word) == k
+    # a fresh context, so no exact prefix weight is memoized for the run
+    assert _outcome(engine._rank_run, RankContext(schedule), word, 4096) == \
+        _outcome(exact_rank_run, exact_ctx, word, 4096)
+
+
 # --- envelope evaluation -------------------------------------------------------
 
 
@@ -368,6 +470,38 @@ def test_idle_prefix_matches_direct_vandermonde_sum(nmk):
         assert level._idle_prefix(i) == direct
         assert level.prefix_weight(i) == direct
         direct += comb(m, i) * comb(n - m, k - i)
+
+
+_IDLE = EnvelopeSchedule("idle", {}, lambda j: 1 << j, None, idle_below=1 << 20)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=1 << 12),
+       st.integers(min_value=1, max_value=1 << 12), st.data())
+def test_prefix_bounds_bracket_the_exact_idle_prefix(m, d, data):
+    n = m + d
+    k = data.draw(st.integers(min_value=0, max_value=n))
+    ctx = RankContext(_IDLE)
+    level = _LevelData(ctx, m, n, k)
+    ilo, ihi = max(0, k - d), min(m, k)
+    mode = (k + 1) * (m + 1) // (n + 2)
+    points = (ilo, ilo + 1, mode - 1, mode, mode + 1, ihi, ihi + 1)
+    # bounds first: an exact weight memoized on the level would stand in for them
+    bounds = [level.prefix_bounds(i) for i in points]
+    for i, (lo, err) in zip(points, bounds):
+        assert 0 <= err
+        assert lo <= _LevelData(ctx, m, n, k)._idle_prefix(i) <= lo + err
+
+
+def test_prefix_bounds_at_the_large_jump_are_tight():
+    m, n = 1 << 14, 1 << 15
+    k = 3 * n // 10
+    level = _LevelData(RankContext(_IDLE), m, n, k)
+    mode = (k + 1) * (m + 1) // (n + 2)
+    for i in (mode - 50, mode, mode + 1, mode + 50):
+        lo, err = level.prefix_bounds(i)
+        assert 0 < err and err << 100 < lo
+        assert lo <= level._idle_prefix(i) <= lo + err
 
 
 # --- count rounding and binomials ------------------------------------------------

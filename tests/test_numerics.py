@@ -12,8 +12,10 @@ import mpmath
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coinfactory import numerics
 from coinfactory.numerics import (
     DYADIC_BITS,
+    FACTOR_COMB_MIN,
     bernstein_coeffs,
     binom,
     ceil_frac_mul,
@@ -45,6 +47,24 @@ def test_binom_large_path():
     assert binom(n, 2) == n * (n - 1) // 2
     assert binom(n, -1) == 0
     assert binom(n, n + 1) == 0
+
+
+def test_factored_binomials_match_math_comb_across_the_crossover(monkeypatch):
+    # min(k, n - k) crosses FACTOR_COMB_MIN at k = n/2 for n = 2X and at
+    # k = n/4 for n = 4X; the sieve starts empty and grows on the way to 2**17
+    x = FACTOR_COMB_MIN
+    factored = []
+    exact = numerics._factor_comb
+    monkeypatch.setattr(numerics, "_sieve", bytearray())
+    monkeypatch.setattr(numerics, "_factor_comb", lambda n, k: factored.append((n, k)) or exact(n, k))
+    comb.cache_clear()
+    sizes = [x - 1, x, 2 * x - 1, 2 * x, 4 * x - 1, 4 * x, 1 << 14, (1 << 14) + 1, 1 << 17]
+    for n in sizes:
+        for k in (-1, 0, 1, n // 4, n // 2, n - 1, n, n + 1):
+            assert binom(n, k) == (math.comb(n, k) if 0 <= k <= n else 0)
+    assert len(numerics._sieve) > 1 << 17
+    assert factored == [(2 * x, x), (4 * x - 1, 2 * x - 1), (4 * x, x), (4 * x, 2 * x)] + [
+        (n, k) for n in sizes[-3:] for k in (n // 4, n // 2)]
 
 
 @given(st.fractions(min_value=-100, max_value=100), st.integers(min_value=1, max_value=10**6))
