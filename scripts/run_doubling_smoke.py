@@ -56,8 +56,8 @@ def main() -> None:
         values = envelope_eval(sched, cfg.p, n, mode="float-with-bound")
         dt = time.perf_counter() - t0
         width = values.h - values.g
-        note = "" if prev is None else f" ratio={width / prev:.4f}"
-        print(f"n={n}: width={width:.6f}{note} ({dt:.1f}s)")
+        note = "" if prev is None else f" ratio={width / prev:.3e}"
+        print(f"n={n}: width={width:.3e}{note} ({dt:.1f}s)")
         prev = width
         n *= 2
 

@@ -18,6 +18,12 @@ one. From an idle level the prefix weight is bounded by a 128-bit
 fixed-point walk of a few hundred terms instead of summed exactly, and
 the exact sums are taken only when the bounds' error alone keeps the
 interval crossing a count once every rank is read.
+
+The rank state after a checkpoint is a function of the word's prefix up
+to it. decide and the exhaustive oracle rank many words that share
+prefixes, so they keep the state at each checkpoint of the last word
+(rank_word) and start the next word from the deepest one it shares;
+simulate draws one word and keeps none.
 """
 
 from __future__ import annotations
@@ -346,13 +352,25 @@ def _tail_bounds(m: int, d: int, k: int, j: int, t: int) -> tuple[int, int]:
     return lo, hi - lo
 
 
+# the rank state before the first checkpoint: (j, pos, ones, lo, err, width,
+# unread, head, pending), as _rank_run names them
+_START = (0, 0, 0, 0, 0, 1, (), 0, ())
+
+
 class RankContext:
-    """Immutable schedule plus memo caches shared across runs."""
+    """A schedule plus memo caches shared across runs.
+
+    It also keeps the last word that rank_word ranked and that word's
+    path: (checkpoint, rank state or decision) for each checkpoint it
+    passed, from which the next word resumes.
+    """
 
     def __init__(self, schedule: EnvelopeSchedule):
         self.schedule = schedule
         self._counts_memo: dict = {}
         self._levels: dict = {}
+        self._word = b""
+        self._path: list = [(0, _START)]
 
     def counts(self, n: int, k: int, b: Optional[int] = None) -> tuple[int, int]:
         key = (n, k)
@@ -377,13 +395,16 @@ class RankContext:
 
 
 def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
-              limit: float) -> tuple[Decision, int]:
+              limit: float, state: tuple = _START,
+              path: Optional[list] = None) -> tuple[Decision, int]:
     """Rank the chunks up to successive checkpoints until one decides.
 
-    draw(count) returns the next count bits. The run stops at the first
-    decision that is not Continue, or with Continue when the next
-    checkpoint would pass limit or a finite schedule has no next one.
-    Returns the decision and the length ranked.
+    draw(count) returns the next count bits. The run starts from state, a
+    rank state after some checkpoint, and stops at the first decision that
+    is not Continue, or with Continue when the next checkpoint would pass
+    limit or a finite schedule has no next one. Returns the decision and
+    the length ranked. If path is a list, the state after each checkpoint
+    that continues is appended to it as (checkpoint, state).
 
     The rank r of the word at the current level is known to lie in
     [lo, lo + err + width): lo counts lower bounds on the prefix weights
@@ -394,13 +415,13 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
     every rank is read, the exact prefix weights replace the bounds.
     """
     schedule = ctx.schedule
-    pos = ones = j = lo = err = 0
-    width = 1
-    unread = []  # (chunk, binom(len(chunk), weight)) in draw order
-    head = 0     # unread[head:] are the chunks whose ranks are not read
+    j, pos, ones, lo, err, width, unread, head, pending = state
+    # (chunk, binom(len(chunk), weight)) in draw order; unread[head:] are
+    # the chunks whose ranks are not read
+    unread = list(unread)
     # since err was last 0: (bounded level or None, ones before it, prefix
     # lower bound, size); an exact level adds nothing to fold, only its size
-    pending = []
+    pending = list(pending)
     while True:
         n = schedule.checkpoint(j)
         if n is None or n > limit:
@@ -449,16 +470,46 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
             lo += word_lexrank(old) * width
         lo -= da
         j += 1
+        if path is not None:
+            path.append((pos, (j, pos, ones, lo, err, width, tuple(unread), head, tuple(pending))))
+
+
+def rank_word(ctx: RankContext, word: bytes, limit: int) -> tuple[Decision, int]:
+    """Rank word, one bit per byte, up to the checkpoints at most limit.
+
+    Returns what _rank_run returns for it; limit is at most len(word).
+    The run resumes from the deepest checkpoint whose prefix word shares
+    with the last word ranked in ctx, so a word that extends a decided
+    prefix takes that decision.
+    """
+    path, last = ctx._path, ctx._word
+    i = len(path) - 1
+    while True:
+        n, state = path[i]
+        if n <= limit and word[:n] == last[:n]:
+            break
+        i -= 1
+    del path[i + 1:]
+    ctx._word = word
+    if state.__class__ is Decision:
+        return state, n
+    # BytesIO.read hands out the successive chunks, one bit per byte
+    decision, pos = _rank_run(ctx, io.BytesIO(word[n:]).read, limit, state, path)
+    if decision is not _CONTINUE:
+        path.append((pos, decision))
+    return decision, pos
 
 
 def decide(ctx: RankContext, word: Sequence[int]) -> Decision:
     """Classify a word whose length is a checkpoint.
 
     A word extending an already-decided prefix inherits that decision.
+    Successive words on one ctx share the rank state of their common
+    checkpoint prefixes (see rank_word), so ranking all words of a length
+    in order costs about one chunk per word.
     """
-    word = list(word)
-    # BytesIO.read hands out the successive chunks, one bit per byte
-    decision, pos = _rank_run(ctx, io.BytesIO(bytes(word)).read, len(word))
+    word = bytes(word)
+    decision, pos = rank_word(ctx, word, len(word))
     if decision is _CONTINUE and (pos == 0 or pos < len(word)):
         raise ValueError(f"word length {len(word)} is not a checkpoint")
     return decision

@@ -4,7 +4,9 @@ Everything here is allowed to be slow and literal. The oracle walks the
 target's read tree: it runs the target on tapes in lexicographic order
 and credits each run's result to every tape that shares the bits the run
 read, so its accept/undecided masses are exact rationals that an engine
-or plan implementation can be compared against bit for bit.
+or plan implementation can be compared against bit for bit. An envelope
+schedule is ranked rather than run, each tape resuming from the rank
+state of the deepest checkpoint it shares with the tape before it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .coins import CoinSource, GeneratorSource, TapeSource, _replica_seeds
 from .combinators import FactoryPlan, plan_hash, run_plan
-from .engine import EnvelopeSchedule, RankContext, simulate
+from .engine import Decision, EnvelopeSchedule, RankContext, rank_word, simulate
 from .errors import (
     DepthTooLarge,
     InsufficientTail,
@@ -98,7 +100,12 @@ def oracle_enumerate(target: Target, depth: int, p) -> tuple[Fraction, Fraction]
     bits, which weigh p^ones q^(r - ones) together, and the next run starts
     past that prefix. So the target runs once per leaf of its read tree.
     A tape that raises an exhaustion before deciding counts as undecided;
-    it was read to its end, so nothing is skipped there.
+    it was read to its end, so nothing is skipped there. An envelope
+    schedule is ranked, not run on a tape: each leaf resumes from the
+    deepest checkpoint it shares with the last (see engine.rank_word), and
+    a word that continues at the last checkpoint at or below depth
+    credits its r-bit prefix as undecided, the mass its tapes' exhaustion
+    would credit.
     """
     if depth > MAX_ORACLE_DEPTH:
         raise DepthTooLarge(f"depth {depth} exceeds the oracle cap {MAX_ORACLE_DEPTH}")
@@ -107,7 +114,7 @@ def oracle_enumerate(target: Target, depth: int, p) -> tuple[Fraction, Fraction]
     p = Fraction(p)
     if not 0 < p < 1:
         raise InvalidParams("p must lie strictly inside (0, 1)")
-    run = _replica_runner(target, None)
+    run = _tape_runner(target, depth)
     a, b = p.numerator, p.denominator
     c = b - a
     pa = [a ** i for i in range(depth + 1)]
@@ -116,12 +123,7 @@ def oracle_enumerate(target: Target, depth: int, p) -> tuple[Fraction, Fraction]
     mass = {1: 0, None: 0}  # accept and undecided numerators over b^depth
     m = 0
     while m < 1 << depth:
-        tape = TapeSource((m >> (depth - 1 - j)) & 1 for j in range(depth))
-        try:
-            bit = run(tape).bit
-        except (SourceExhausted, Undecided):
-            bit = None
-        r = tape.position
+        bit, r = run(format(m, f"0{depth}b").encode().translate(_BITS))
         prefix = m >> (depth - r)
         if prefix << (depth - r) != m:
             raise InvalidParams(
@@ -132,6 +134,34 @@ def oracle_enumerate(target: Target, depth: int, p) -> tuple[Fraction, Fraction]
             mass[bit] += pa[ones] * qa[r - ones] * ba[depth - r]
         m = (prefix + 1) << (depth - r)
     return Fraction(mass[1], ba[depth]), Fraction(mass[None], ba[depth])
+
+
+# ASCII "0" and "1" to the bytes 0 and 1, one bit per byte
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_DECISION_BITS = {Decision.OutputOne: 1, Decision.OutputZero: 0}
+
+
+def _tape_runner(target: Target, depth: int):
+    """run(bits) -> (result bit or None if undecided, bits read) on one tape."""
+    if isinstance(target, EnvelopeSchedule):
+        ctx = RankContext(target)
+
+        def rank(bits: bytes):
+            decision, pos = rank_word(ctx, bits, depth)
+            return _DECISION_BITS.get(decision), pos
+
+        return rank
+    replica = _replica_runner(target, None)
+
+    def run(bits: bytes):
+        tape = TapeSource(bits)
+        try:
+            bit = replica(tape).bit
+        except (SourceExhausted, Undecided):
+            bit = None
+        return bit, tape.position
+
+    return run
 
 
 # --- distribution utilities --------------------------------------------------

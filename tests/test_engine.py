@@ -31,7 +31,7 @@ from coinfactory import (
     word_lexrank,
 )
 from coinfactory import engine
-from coinfactory.engine import EnvelopeSchedule, Violation, _LevelData
+from coinfactory.engine import EnvelopeSchedule, Violation, _LevelData, rank_word
 from coinfactory.numerics import comb
 from coinfactory.errors import InvalidParams, InvalidSchedule, SourceExhausted, Undecided
 from coinfactory.schedules import MODE_LIPSCHITZ
@@ -128,6 +128,88 @@ def test_bad_counts_at_the_first_checkpoint_raise(pair):
         decide(RankContext(bad), (0, 1, 1, 0))
     with pytest.raises(InvalidSchedule):
         simulate(bad, TapeSource([0, 1, 1, 0]))
+
+
+# --- resumed rank walks ----------------------------------------------------------
+
+
+def _decide_or_error(ctx, word):
+    try:
+        return decide(ctx, word)
+    except (ValueError, InvalidSchedule) as e:
+        return type(e).__name__, str(e)
+
+
+def test_a_shared_context_decides_shuffled_words_as_the_materialized_sets():
+    sched = smooth_schedule(lipschitz_params())
+    sets = materialize_sets(sched, 8)
+    words = [tuple((m >> (7 - j)) & 1 for j in range(8)) for m in range(1 << 8)]
+    random.Random(15).shuffle(words)
+    ctx = RankContext(sched)
+    for word in words:
+        assert decide(ctx, word) is brute_decide(sched, word, sets)
+        # the path holds the states of one word: one per checkpoint and the start
+        assert len(ctx._path) <= 1 + len(sched.checkpoints_upto(8))
+
+
+def test_a_word_ranked_again_below_its_last_depth_stops_at_the_limit():
+    sched = smooth_schedule(lipschitz_params())
+    word = bytes([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1])
+    ctx = RankContext(sched)
+    for limit in (16, 4, 8, 16, 1, 0):
+        assert rank_word(ctx, word, limit) == rank_word(RankContext(sched), word, limit)
+
+
+@pytest.mark.parametrize("make", [lambda: smooth_schedule(lipschitz_params()),
+                                  lambda: monomial_schedule(2)], ids=["lipschitz", "monomial_2"])
+def test_a_shared_context_decides_interleaved_lengths_as_fresh_contexts(make):
+    # each 16-bit word is followed by its 4- and 8-bit prefixes and by words
+    # that leave it after bit 4 or 8, so a word resumes from a checkpoint
+    # deeper, shallower or as deep as the last word reached; lengths 3, 5
+    # and 0 are not checkpoints
+    sched = make()
+    rng = random.Random(2)
+    words = []
+    for _ in range(40):
+        base = tuple(rng.randrange(2) for _ in range(16))
+        for cut in (4, 8):
+            words.append(base[:cut] + tuple(rng.randrange(2) for _ in range(16 - cut)))
+        words += [base, base[:4], base[:8], base[:8] + (1 - base[8],) * 8, base[:3], base[:5], ()]
+    ctx = RankContext(sched)
+    for word in words:
+        assert _decide_or_error(ctx, word) == _decide_or_error(RankContext(sched), word)
+
+
+def test_the_word_after_an_invalid_schedule_resumes_as_a_fresh_context():
+    # 0101 and 0110 need the broken cell (4, 2) and raise; the words after
+    # them share the prefix 01 with them, whose state the raise left behind
+    sched = corrupt_monomial_fixture()
+    words = [tuple((m >> (3 - j)) & 1 for j in range(4)) for m in range(16)]
+    words[6:6] = [(0, 1), (0, 1, 1, 0, 1, 1, 1, 1), (0, 1, 0, 1, 0, 0, 0, 0), (0, 1)]
+    ctx = RankContext(sched)
+    outcomes = [_decide_or_error(ctx, word) for word in words]
+    assert outcomes == [_decide_or_error(RankContext(sched), word) for word in words]
+    raised = [i for i, out in enumerate(outcomes) if isinstance(out, tuple)]
+    assert raised and any(i + 1 not in raised for i in raised)
+
+
+def test_a_resumed_large_jump_word_carries_the_bounded_prefix_state():
+    # the schedule is idle below 2**15, and its idle jumps to 2**8 and beyond
+    # rank on prefix bounds, so the state at 2**14 has a nonzero err and
+    # pending levels; the second word shares the first 2**14 bits and
+    # resumes there
+    sched = smooth_schedule(lipschitz_params(Fraction(1, 250)))
+    half = 1 << 14
+    rng = random.Random(7)
+    first = [int(rng.random() < 0.3) for _ in range(2 * half)]
+    second = first[:half] + [int(rng.random() < 0.5) for _ in range(half)]
+    ctx = RankContext(sched)
+    assert decide(ctx, first) is decide(RankContext(sched), first)
+    state = next(state for n, state in ctx._path if n == half)
+    _, _, _, _, err, _, _, _, pending = state
+    assert err > 0 and pending
+    assert decide(ctx, second) is decide(RankContext(sched), second)
+    assert any(entry[1] is state for entry in ctx._path)
 
 
 # --- lazy ranks ------------------------------------------------------------------

@@ -9,11 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coinfactory import (
+    ContinuousParams,
+    EnvelopeSchedule,
     GeneratorSource,
     HypergeomSpec,
     OutcomeRecord,
     bernstein_eval,
     constant_plan,
+    continuous_schedule,
     double_plan,
     feasibility_check,
     hypergeom_pmf,
@@ -190,6 +193,45 @@ def test_oracle_runs_the_monomial_once_per_read_prefix():
 
     assert oracle_enumerate(target, 16, Fraction(1, 3)) == (Fraction(1, 9), Fraction(0))
     assert len(runs) == 4
+
+
+def thirds_schedule(checkpoint):
+    """Counts from the exact Bernstein coefficients (n + k) / 3n of (1 + p) / 3.
+
+    They are rarely integers, so rounding them out leaves a word undecided
+    in most weights; the rounded counts stay consistent at any checkpoints.
+    """
+    return EnvelopeSchedule("thirds", {}, checkpoint,
+                            ab_fn=lambda n, k: (Fraction(n + k, 3 * n),) * 2)
+
+
+_RANKED_SCHEDULES = {
+    "lipschitz_3c": (lambda: smooth_schedule(SmoothnessParams(
+        lambda p: Fraction(1, 2) + p / 4, MODE_LIPSCHITZ, Fraction(1, 4), Fraction(1, 4))),
+        Fraction(3, 10)),
+    "monomial_2": (lambda: monomial_schedule(2), Fraction(1, 3)),
+    # checkpoints 32, 64, 256: none is at or below depth 12
+    "continuous_tent": (lambda: continuous_schedule(ContinuousParams(
+        lambda p: Fraction(1, 2) + abs(p - Fraction(1, 2)) / 4, Fraction(1, 4), (5, 6, 7))),
+        Fraction(1, 4)),
+    # checkpoints 2, 3, 6, 11, 18, ...
+    "thirds_irregular": (lambda: thirds_schedule(lambda j: j * j + 2), Fraction(2, 5)),
+    # checkpoints 3, 5, 9 and no more
+    "thirds_finite": (lambda: thirds_schedule(lambda j: (3, 5, 9)[j] if j < 3 else None),
+                      Fraction(2, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RANKED_SCHEDULES))
+def test_oracle_ranks_a_schedule_to_the_masses_its_runs_give(name):
+    # the oracle ranks a schedule's words; the generic path runs simulate on
+    # each tape, and a tape that passes the last checkpoint at or below depth
+    # ends exhausted or out of checkpoints
+    make, p = _RANKED_SCHEDULES[name]
+    schedule = make()
+    run = lambda src: simulate(schedule, src)
+    for depth in range(1, 13):
+        assert oracle_enumerate(schedule, depth, p) == oracle_enumerate(run, depth, p)
 
 
 # --- hypergeometric pmf -----------------------------------------------------------
