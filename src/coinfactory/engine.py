@@ -474,19 +474,20 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
             path.append((pos, (j, pos, ones, lo, err, width, tuple(unread), head, tuple(pending))))
 
 
-def rank_word(ctx: RankContext, word: bytes, limit: int) -> tuple[Decision, int]:
-    """Rank word, one bit per byte, up to the checkpoints at most limit.
+def rank_word(ctx: RankContext, word: bytes) -> tuple[Decision, int]:
+    """Rank word, one bit per byte, up to its last checkpoint.
 
-    Returns what _rank_run returns for it; limit is at most len(word).
-    The run resumes from the deepest checkpoint whose prefix word shares
-    with the last word ranked in ctx, so a word that extends a decided
-    prefix takes that decision.
+    Returns what _rank_run returns for it. The run resumes from the
+    deepest checkpoint whose prefix word shares with the last word ranked
+    in ctx, so a word that extends a decided prefix takes that decision.
     """
     path, last = ctx._path, ctx._word
+    # every checkpoint on the path is at most len(last), so a shared
+    # prefix is also at most len(word)
     i = len(path) - 1
     while True:
         n, state = path[i]
-        if n <= limit and word[:n] == last[:n]:
+        if word[:n] == last[:n]:
             break
         i -= 1
     del path[i + 1:]
@@ -494,7 +495,7 @@ def rank_word(ctx: RankContext, word: bytes, limit: int) -> tuple[Decision, int]
     if state.__class__ is Decision:
         return state, n
     # BytesIO.read hands out the successive chunks, one bit per byte
-    decision, pos = _rank_run(ctx, io.BytesIO(word[n:]).read, limit, state, path)
+    decision, pos = _rank_run(ctx, io.BytesIO(word[n:]).read, len(word), state, path)
     if decision is not _CONTINUE:
         path.append((pos, decision))
     return decision, pos
@@ -508,8 +509,8 @@ def decide(ctx: RankContext, word: Sequence[int]) -> Decision:
     checkpoint prefixes (see rank_word), so ranking all words of a length
     in order costs about one chunk per word.
     """
-    word = bytes(word)
-    decision, pos = rank_word(ctx, word, len(word))
+    word = bytes(list(word))
+    decision, pos = rank_word(ctx, word)
     if decision is _CONTINUE and (pos == 0 or pos < len(word)):
         raise ValueError(f"word length {len(word)} is not a checkpoint")
     return decision

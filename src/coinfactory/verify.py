@@ -147,7 +147,7 @@ def _tape_runner(target: Target, depth: int):
         ctx = RankContext(target)
 
         def rank(bits: bytes):
-            decision, pos = rank_word(ctx, bits, depth)
+            decision, pos = rank_word(ctx, bits)
             return _DECISION_BITS.get(decision), pos
 
         return rank

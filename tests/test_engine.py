@@ -4,12 +4,14 @@ Ground truth throughout is tests/helpers.py, which materializes accept and
 reject sets as literal word lists and ranks by sorted enumeration.
 """
 
+import array
 import io
 import math
 import random
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +33,7 @@ from coinfactory import (
     word_lexrank,
 )
 from coinfactory import engine
-from coinfactory.engine import EnvelopeSchedule, Violation, _LevelData, rank_word
+from coinfactory.engine import EnvelopeSchedule, Violation, _LevelData
 from coinfactory.numerics import comb
 from coinfactory.errors import InvalidParams, InvalidSchedule, SourceExhausted, Undecided
 from coinfactory.schedules import MODE_LIPSCHITZ
@@ -152,12 +154,19 @@ def test_a_shared_context_decides_shuffled_words_as_the_materialized_sets():
         assert len(ctx._path) <= 1 + len(sched.checkpoints_upto(8))
 
 
-def test_a_word_ranked_again_below_its_last_depth_stops_at_the_limit():
+def test_decide_reads_array_words_by_element():
+    # numpy and array.array words expose a buffer of 8-byte items; decide
+    # must rank their elements, not the buffer's bytes
     sched = smooth_schedule(lipschitz_params())
-    word = bytes([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1])
-    ctx = RankContext(sched)
-    for limit in (16, 4, 8, 16, 1, 0):
-        assert rank_word(ctx, word, limit) == rank_word(RankContext(sched), word, limit)
+    rng = random.Random(3)
+    shared = RankContext(sched)
+    for _ in range(20):
+        word = tuple(rng.randrange(2) for _ in range(16))
+        expected = decide(RankContext(sched), word)
+        assert decide(shared, np.array(word)) is expected
+        assert decide(shared, array.array("q", word)) is expected
+    with pytest.raises(TypeError):
+        decide(shared, 5)
 
 
 @pytest.mark.parametrize("make", [lambda: smooth_schedule(lipschitz_params()),
