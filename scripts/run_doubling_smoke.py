@@ -9,6 +9,13 @@ at the default settings the script takes about 1 s, and with
 (2 cores, Python 3.11.7). A seed whose run continues past the first
 active checkpoint takes far longer, since the next level is built term
 by term and is not cached.
+
+The default p = 1/4 lies outside double:3/25's fast region. The
+doubler's margin needs q <= 1/2 - 4*eps = 0.02, and the sqrt-hinge
+starts at 1/2 - 3*eps = 0.14; at p = 1/4, h - g shrinks only by about
+1/sqrt(2) per doubling (the printed ratio 7.071e-01). At --p 1/10 the
+run decides at n0, and the printed width (about 3e-17) sits at the
+float evaluator's rounding floor: it is not a rate.
 """
 
 import argparse

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .coins import CoinSource
-from .engine import OutcomeRecord, RankContext, simulate
+from .engine import OutcomeRecord, simulate
 from .errors import (
     BackendRequired,
     DivergenceRisk,
@@ -546,7 +546,7 @@ def envelope_plan(schedule, ref: Optional[str] = None,
         PlanBounds(Fraction(0), Fraction(1), "propagated"),
         data=(("ref", ref if ref is not None else "opaque"),),
     )
-    plan._cache["ctx"] = RankContext(schedule)
+    plan._cache["schedule"] = schedule
     return plan
 
 
@@ -603,7 +603,7 @@ _EXACT_BACKENDS: dict = {}
 
 def _exact_backend(eps_prime: Fraction):
     if eps_prime not in _EXACT_BACKENDS:
-        _EXACT_BACKENDS[eps_prime] = RankContext(doubling_schedule(DoublingParams(eps_prime)))
+        _EXACT_BACKENDS[eps_prime] = doubling_schedule(DoublingParams(eps_prime))
     return _EXACT_BACKENDS[eps_prime]
 
 
@@ -775,8 +775,7 @@ def _run_double(plan: FactoryPlan, source: CoinSource) -> int:
     feed = PlanSource(plan.children[0], source)
     if backend[0] == "approx":
         return approx_double_bit(WalkConfig(backend[1]), feed).bit
-    ctx = _exact_backend(plan.get("eps_prime"))
-    return simulate(ctx.schedule, feed, ctx).bit
+    return simulate(_exact_backend(plan.get("eps_prime")), feed).bit
 
 
 def _bias_double(plan: FactoryPlan, p: Fraction, kids: list) -> tuple:
@@ -862,8 +861,7 @@ def _bias_race(plan: FactoryPlan, p: Fraction, kids: list) -> tuple:
 
 
 def _run_envelope(plan: FactoryPlan, source: CoinSource) -> int:
-    ctx = plan._cache["ctx"]
-    return simulate(ctx.schedule, source, ctx).bit
+    return simulate(plan._cache["schedule"], source).bit
 
 
 def _load_envelope(kids: list, data: dict, domain: PlanBounds, stored: PlanBounds) -> FactoryPlan:

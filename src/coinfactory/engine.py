@@ -19,8 +19,11 @@ fixed-point walk of a few hundred terms instead of summed exactly, and
 the exact sums are taken only when the bounds' error alone keeps the
 interval crossing a count once every rank is read.
 
-The rank state after a checkpoint is a function of the word's prefix up
-to it. decide and the exhaustive oracle rank many words that share
+The counts and level sums a run memoizes depend on the schedule alone,
+so each schedule owns one RankContext that all its runs share, and only
+validate_schedule keeps a private one, whose rows end with the call. The
+rank state after a checkpoint is a function of the word's prefix up to
+it. decide and the exhaustive oracle rank many words that share
 prefixes, so they keep the state at each checkpoint of the last word
 (rank_word) and start the next word from the deepest one it shares;
 simulate draws one word and keeps none.
@@ -80,7 +83,8 @@ class EnvelopeSchedule:
     to bound the difference from the counts. b is an optional
     precomputed binom(n, k), so row walks can thread incremental binomials
     instead of recomputing them. Checkpoints below idle_below are idle:
-    (alpha, beta) = (0, 1), counts (0, binom(n,k)).
+    (alpha, beta) = (0, 1), counts (0, binom(n,k)). Every run of the
+    schedule ranks on its rank_context.
     """
 
     def __init__(
@@ -98,6 +102,7 @@ class EnvelopeSchedule:
         self._ab_fn = ab_fn
         self.idle_below = idle_below
         self._metadata_extra = dict(metadata_extra or {})
+        self.rank_context = RankContext(self)
 
     def checkpoint(self, j: int) -> Optional[int]:
         """n_j for 0-based index j, or None past the end of a finite schedule."""
@@ -362,7 +367,10 @@ class RankContext:
 
     It also keeps the last word that rank_word ranked and that word's
     path: (checkpoint, rank state or decision) for each checkpoint it
-    passed, from which the next word resumes.
+    passed, from which the next word resumes. A schedule owns one, its
+    rank_context, for every run; the memos depend on the schedule alone,
+    so no run sees what ran before. validate_schedule keeps a private
+    one, or validating to 2**14 would pin tens of MB on the schedule.
     """
 
     def __init__(self, schedule: EnvelopeSchedule):
@@ -519,21 +527,18 @@ def decide(ctx: RankContext, word: Sequence[int]) -> Decision:
 def simulate(
     schedule: EnvelopeSchedule,
     source: CoinSource,
-    ctx: Optional[RankContext] = None,
+    *,
     max_tosses: Optional[int] = None,
 ) -> OutcomeRecord:
     """Draw to successive checkpoints until the schedule decides.
 
     Intermediate lengths never decide. Raises Undecided when max_tosses
-    would be exceeded or a finite schedule runs out of checkpoints, and
-    InvalidParams when ctx ranks another schedule.
+    would be exceeded or a finite schedule runs out of checkpoints. Runs
+    on schedule.rank_context, whose memo serves every later run.
     """
-    if ctx is None:
-        ctx = RankContext(schedule)
-    elif ctx.schedule is not schedule:
-        raise InvalidParams("ctx was built for another schedule")
     start = source.tosses_consumed
-    decision, _ = _rank_run(ctx, source.draw_bits, math.inf if max_tosses is None else max_tosses)
+    decision, _ = _rank_run(schedule.rank_context, source.draw_bits,
+                            math.inf if max_tosses is None else max_tosses)
     tosses = source.tosses_consumed - start
     if decision is _ONE:
         return OutcomeRecord(1, tosses)
@@ -733,7 +738,7 @@ def validate_schedule(
         raise InvalidParams(f"max checkpoint {max_checkpoint} must be at least 1")
     points = schedule.checkpoints_upto(max_checkpoint)
     violations: list[Violation] = []
-    ctx = RankContext(schedule)  # private: the counts memo it fills ends with this call
+    ctx = RankContext(schedule)  # private: its row memo ends with this call
     for n in points:
         # memoizes the rows' counts, so the jumps below take no binomial for them
         for k, b, ca, cb in _row(ctx.counts, n):

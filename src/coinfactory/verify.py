@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from .coins import CoinSource, GeneratorSource, TapeSource, _replica_seeds
 from .combinators import FactoryPlan, plan_hash, run_plan
-from .engine import Decision, EnvelopeSchedule, RankContext, rank_word, simulate
+from .engine import Decision, EnvelopeSchedule, rank_word, simulate
 from .errors import (
     DepthTooLarge,
     InsufficientTail,
@@ -101,11 +101,11 @@ def oracle_enumerate(target: Target, depth: int, p) -> tuple[Fraction, Fraction]
     past that prefix. So the target runs once per leaf of its read tree.
     A tape that raises an exhaustion before deciding counts as undecided;
     it was read to its end, so nothing is skipped there. An envelope
-    schedule is ranked, not run on a tape: each leaf resumes from the
-    deepest checkpoint it shares with the last (see engine.rank_word), and
-    a word that continues at the last checkpoint at or below depth
-    credits its r-bit prefix as undecided, the mass its tapes' exhaustion
-    would credit.
+    schedule is ranked on its rank_context: each leaf resumes from the
+    deepest checkpoint it shares with the last word ranked there, by this
+    call or an earlier one (see engine.rank_word), and a word that
+    continues at the last checkpoint at or below depth credits its r-bit
+    prefix as undecided, the mass its tapes' exhaustion would credit.
     """
     if depth > MAX_ORACLE_DEPTH:
         raise DepthTooLarge(f"depth {depth} exceeds the oracle cap {MAX_ORACLE_DEPTH}")
@@ -144,7 +144,7 @@ _DECISION_BITS = {Decision.OutputOne: 1, Decision.OutputZero: 0}
 def _tape_runner(target: Target, depth: int):
     """run(bits) -> (result bit or None if undecided, bits read) on one tape."""
     if isinstance(target, EnvelopeSchedule):
-        ctx = RankContext(target)
+        ctx = target.rank_context
 
         def rank(bits: bytes):
             decision, pos = rank_word(ctx, bits)
@@ -236,12 +236,7 @@ def _target_hash(target: Target) -> str:
 
 def _replica_runner(target: Target, max_tosses: Optional[int]):
     if isinstance(target, EnvelopeSchedule):
-        ctx = RankContext(target)
-
-        def run(src: CoinSource):
-            return simulate(target, src, ctx, max_tosses=max_tosses)
-
-        return run
+        return lambda src: simulate(target, src, max_tosses=max_tosses)
     if max_tosses is not None:
         raise InvalidParams(f"max_tosses applies only to envelope schedules, "
                             f"not to a {type(target).__name__} target")

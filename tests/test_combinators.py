@@ -29,6 +29,7 @@ from coinfactory import (
     identity_plan,
     load_plan,
     monomial_schedule,
+    monte_carlo,
     oracle_enumerate,
     parse,
     plan_bias_interval,
@@ -48,7 +49,7 @@ from coinfactory import (
     walk_bias_exact,
     with_range,
 )
-from coinfactory import combinators
+from coinfactory import combinators, engine
 from coinfactory.combinators import _KINDS
 from coinfactory.errors import (
     BackendRequired,
@@ -250,19 +251,25 @@ def test_envelope_leaf_reload_keeps_hash_and_bits(tmp_path):
         assert (a.bit, a.tosses) == (b.bit, b.tosses) == (bit, 2)
 
 
-def test_envelope_plan_builds_its_context_once(monkeypatch):
+def test_envelope_leaf_and_monte_carlo_build_each_level_once(monkeypatch):
+    # the leaf and monte_carlo both run the schedule on its own context, so
+    # the three weights of p**2's one checkpoint are built once between them
     built = []
-    real = combinators.RankContext
 
-    def counting(schedule):
-        built.append(schedule)
-        return real(schedule)
+    class Counting(engine._LevelData):
+        __slots__ = ()
 
-    monkeypatch.setattr(combinators, "RankContext", counting)
-    plan = envelope_plan(monomial_schedule(2), ref="monomial:2")
-    for tape in ([1, 1], [1, 0], [0, 1]):
+        def __init__(self, ctx, m, n, k, b=None):
+            built.append((m, n, k))
+            super().__init__(ctx, m, n, k, b)
+
+    monkeypatch.setattr(engine, "_LevelData", Counting)
+    schedule = monomial_schedule(2)
+    plan = envelope_plan(schedule, ref="monomial:2")
+    for tape in ([1, 1], [1, 0], [0, 1], [0, 0]):
         run_plan(plan, TapeSource(tape))
-    assert len(built) == 1
+    monte_carlo(schedule, Fraction(1, 3), 200, 7)
+    assert sorted(built) == [(0, 2, 0), (0, 2, 1), (0, 2, 2)]
 
 
 def test_series_oracle_brackets_closed_form():

@@ -35,7 +35,7 @@ from coinfactory import (
 from coinfactory import engine
 from coinfactory.engine import EnvelopeSchedule, Violation, _LevelData
 from coinfactory.numerics import comb
-from coinfactory.errors import InvalidParams, InvalidSchedule, SourceExhausted, Undecided
+from coinfactory.errors import InvalidSchedule, SourceExhausted, Undecided
 from coinfactory.schedules import MODE_LIPSCHITZ
 
 from helpers import (all_words, brute_decide, brute_lexrank, exact_rank_run, materialize_sets,
@@ -743,19 +743,18 @@ def test_simulate_propagates_tape_exhaustion():
 
 def test_simulate_smooth_terminates_deterministically():
     sched = smooth_schedule(lipschitz_params())
-    ctx = RankContext(sched)
-    a = simulate(sched, GeneratorSource(3, Fraction(3, 10)), ctx)
-    b = simulate(sched, GeneratorSource(3, Fraction(3, 10)), ctx)
+    a = simulate(sched, GeneratorSource(3, Fraction(3, 10)))
+    b = simulate(sched, GeneratorSource(3, Fraction(3, 10)))
     assert (a.bit, a.tosses) == (b.bit, b.tosses)
     assert a.bit in (0, 1)
     assert sched.is_checkpoint(a.tosses)
 
 
-def test_simulate_refuses_a_context_for_another_schedule():
-    # ranked with p**3's context the tape would give p**3's answer, bit 0
-    # after 3 tosses; p**2 decides bit 1 after 2
-    with pytest.raises(InvalidParams):
-        simulate(monomial_schedule(2), TapeSource([1, 1, 0]), RankContext(monomial_schedule(3)))
+def test_two_schedules_never_share_a_memo():
+    # p**3 gives bit 0 after 3 tosses on this tape and p**2 bit 1 after 2;
+    # p**2 ranked on p**3's memo would give p**3's answer
+    out = simulate(monomial_schedule(3), TapeSource([1, 1, 0]))
+    assert (out.bit, out.tosses) == (0, 3)
     out = simulate(monomial_schedule(2), TapeSource([1, 1, 0]))
     assert (out.bit, out.tosses) == (1, 2)
 

@@ -1,5 +1,6 @@
 """Ground-truth machinery: oracle, pmf/Bernstein utilities, Monte Carlo."""
 
+import gc
 import hashlib
 import json
 from fractions import Fraction
@@ -10,13 +11,17 @@ from hypothesis import strategies as st
 
 from coinfactory import (
     ContinuousParams,
+    Decision,
     EnvelopeSchedule,
     GeneratorSource,
     HypergeomSpec,
     OutcomeRecord,
+    RankContext,
     bernstein_eval,
     constant_plan,
     continuous_schedule,
+    corrupt_monomial_fixture,
+    decide,
     double_plan,
     feasibility_check,
     hypergeom_pmf,
@@ -44,6 +49,7 @@ from coinfactory.errors import (
     DepthTooLarge,
     InsufficientTail,
     InvalidParams,
+    InvalidSchedule,
     SourceExhausted,
     Undecided,
 )
@@ -232,6 +238,58 @@ def test_oracle_ranks_a_schedule_to_the_masses_its_runs_give(name):
     run = lambda src: simulate(schedule, src)
     for depth in range(1, 13):
         assert oracle_enumerate(schedule, depth, p) == oracle_enumerate(run, depth, p)
+
+
+_DEPTHS = (12, 5, 16, 8)
+
+
+@pytest.mark.parametrize("name", ["lipschitz_3c", "monomial_2"])
+def test_the_oracle_on_a_used_context_gives_a_fresh_schedules_masses(name):
+    # every run of a schedule ranks on its one context, so an oracle starts
+    # from the memo and the last word that earlier calls left there
+    make, p = _RANKED_SCHEDULES[name]
+    fresh = [oracle_enumerate(make(), depth, p) for depth in _DEPTHS]
+    schedule = make()
+    assert [oracle_enumerate(schedule, depth, p) for depth in _DEPTHS] == fresh
+    schedule = make()
+    monte_carlo(schedule, p, 200, 11, max_tosses=4096, undecided="midpoint")
+    assert [oracle_enumerate(schedule, depth, p) for depth in _DEPTHS] == fresh
+
+
+def test_the_oracle_after_a_raised_word_gives_a_fresh_schedules_masses():
+    # the fixture breaks p**2's schedule at (4, 2), past depth 3. 0000 is
+    # decided at checkpoint 2; 0101 then raises at 4, leaving the state of
+    # its prefix 01 on the cursor, while the oracle's first word starts 00.
+    # An oracle at depth 4 raises as well.
+    p = Fraction(1, 3)
+    fresh = oracle_enumerate(corrupt_monomial_fixture(), 3, p)
+    assert fresh[1] > 0
+    schedule = corrupt_monomial_fixture()
+    assert decide(schedule.rank_context, (0, 0, 0, 0)) is Decision.OutputZero
+    with pytest.raises(InvalidSchedule):
+        decide(schedule.rank_context, (0, 1, 0, 1))
+    assert oracle_enumerate(schedule, 3, p) == fresh
+    with pytest.raises(InvalidSchedule):
+        oracle_enumerate(schedule, 4, p)
+    assert oracle_enumerate(schedule, 3, p) == fresh
+
+
+def test_calls_on_a_schedule_leave_one_live_rank_context():
+    # with the cyclic collector off, a context per call would stay alive
+    # in its levels' reference cycle until the next collection
+    schedule = monomial_schedule(2)
+    live = []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            monte_carlo(schedule, Fraction(1, 3), 50, 3)
+            oracle_enumerate(schedule, 8, Fraction(1, 3))
+            live.append(sum(isinstance(obj, RankContext) and obj.schedule is schedule
+                            for obj in gc.get_objects()))
+    finally:
+        gc.enable()
+    assert live == [1, 1, 1]
 
 
 # --- hypergeometric pmf -----------------------------------------------------------
