@@ -192,9 +192,11 @@ class GeneratorSource(CoinSource):
 
     Toss i reads raw word i of PCG64(seed): heads iff the word is below
     q = floor(2**64 bias). next_bit serves words from a buffer refilled
-    by random_raw in blocks of 8, 16, ... up to 4096 words; draw_bits
-    serves any buffered words first and draws the rest in one call, so
-    the bits and tosses_consumed are the same for any mix of the two.
+    by random_raw in blocks of 8, 16, ... up to 4096 words. draw_bits
+    serves a draw that the buffered words and one refill cover the same
+    way, in plain Python; a longer draw takes the buffered words and the
+    rest in one numpy call. The bits and tosses_consumed are the same for
+    any mix of the two methods.
     tosses_consumed counts bits handed out, not words drawn.
 
     When a word equals q and 2**64 bias is not an integer, the toss is
@@ -265,16 +267,35 @@ class GeneratorSource(CoinSource):
         if count <= 0:
             return []
         start = self._pos
-        self._pos = min(start + count, len(self._words))
-        u = self._bitgen.random_raw(count - (self._pos - start))
-        if self._pos > start:
-            u = np.concatenate((np.array(self._words[start:self._pos], dtype=np.uint64), u))
-        bits = (u < np.uint64(self._q)).astype(np.uint8)
-        if not self._exact:
-            for i in np.nonzero(u == np.uint64(self._q))[0]:
-                bits[i] = self._resolve_boundary()
+        words = self._words
+        stop = start + count
+        q = self._q
+        if stop - len(words) > self._block:
+            # longer than one refill: the rest comes in one numpy draw
+            self._pos = len(words)
+            u = self._bitgen.random_raw(stop - len(words))
+            if len(words) > start:
+                u = np.concatenate((np.array(words[start:], dtype=np.uint64), u))
+            bits = (u < np.uint64(q)).astype(np.uint8).tolist()
+            boundary = () if self._exact else np.nonzero(u == np.uint64(q))[0].tolist()
+        else:
+            # as next_bit does: the buffered words, then at most one refill
+            if stop > len(words):
+                u = words[start:]
+                words = self._words = self._bitgen.random_raw(self._block).tolist()
+                self._block = min(2 * self._block, _BLOCK_CAP)
+                stop = count - len(u)
+                u += words[:stop]
+            else:
+                u = words[start:stop]
+            self._pos = stop
+            bits = [1 if w < q else 0 for w in u]
+            boundary = () if self._exact or q not in u else [i for i, w in enumerate(u) if w == q]
+        # boundary words are refined in toss order
+        for i in boundary:
+            bits[i] = self._resolve_boundary()
         self.tosses_consumed += count
-        return bits.tolist()
+        return bits
 
     def fork_independent(self, stream_index: int) -> "GeneratorSource":
         if stream_index < 0:

@@ -14,10 +14,14 @@ prefix weights are added as each level is reached, and each chunk
 contributes the width of its binomial until its lexicographic rank is
 read. A rank is read, oldest chunk first (it carries the largest
 weight), only while the interval crosses a count; idle levels never read
-one. From an idle level the prefix weight is bounded by a 128-bit
-fixed-point walk of a few hundred terms instead of summed exactly, and
-the exact sums are taken only when the bounds' error alone keeps the
-interval crossing a count once every rank is read.
+one. Every level whose binom(n, k) reaches 2**128 ranks on certified
+bounds from a 128-bit fixed-point walk of a few hundred terms: an idle
+level bounds its prefix weights, and a non-idle one in the unit class
+(0 <= alpha <= beta <= 1 on the row it jumps from) also its carried mass,
+and so da and db. The exact sums are the fallback, built only when the
+bounds' error alone keeps the interval crossing a count once every rank
+is read, or when validate_schedule meets a consistency check that the
+bounds leave open; a run passes such a check.
 
 The counts and level sums a run memoizes depend on the schedule alone,
 so each schedule owns one RankContext that all its runs share, and only
@@ -34,6 +38,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -85,6 +90,11 @@ class EnvelopeSchedule:
     instead of recomputing them. Checkpoints below idle_below are idle:
     (alpha, beta) = (0, 1), counts (0, binom(n,k)). Every run of the
     schedule ranks on its rank_context.
+
+    unit_from, if given, declares that every row n >= unit_from is in the
+    unit class, 0 <= alpha <= beta <= 1 at every k. Only a level from such
+    a row ranks on bounds, since its walk bounds the terms it skips by
+    weights in [0, 1]; the other levels are summed exactly.
     """
 
     def __init__(
@@ -95,12 +105,14 @@ class EnvelopeSchedule:
         ab_fn=None,
         idle_below: int = 0,
         metadata_extra: Optional[dict] = None,
+        unit_from: Optional[int] = None,
     ):
         self.name = name
         self.params = dict(params)
         self._checkpoint_fn = checkpoint_fn
         self._ab_fn = ab_fn
         self.idle_below = idle_below
+        self.unit_from = unit_from
         self._metadata_extra = dict(metadata_extra or {})
         self.rank_context = RankContext(self)
 
@@ -124,6 +136,9 @@ class EnvelopeSchedule:
 
     def is_idle(self, n: int) -> bool:
         return n < self.idle_below
+
+    def in_unit_class(self, n: int) -> bool:
+        return self.unit_from is not None and n >= self.unit_from
 
     def counts(self, n: int, k: int, b: Optional[int] = None) -> tuple[int, int]:
         if self.is_idle(n):
@@ -171,20 +186,34 @@ def word_lexrank(word: Sequence[int]) -> int:
 # cached per-(jump, k) tables are only built up to BINOM_CACHE_LIMIT;
 # larger jumps stream their convolution sums without keeping rows.
 _SNAPSHOT_STRIDE = 16
-# fractional bits of the fixed-point term walk that bounds an idle prefix
+# fractional bits of the fixed-point term walks that bound a level's sums
 _W = 128
 
 
 class _LevelData:
     """Convolution sums for one checkpoint jump m -> n at target weight k.
 
-    The first checkpoint is the jump from m = 0, whose empty prefix
-    survives whole, so it is ranked as a jump from an idle level. b is
-    binom(n, k) if the caller has it.
+    With d = n - m, ta = sum_i binom(d, k - i) count_a(m, i) is the carried
+    lower mass, total the same sum over count_b - count_a (the carried gap),
+    prefix_weight(i) the gap's sum below i, and da = count_a(n, k) - ta,
+    db = count_b(n, k) - ta. The first checkpoint is the jump from m = 0,
+    whose empty prefix survives whole, so it is ranked as a jump from an
+    idle level. b is binom(n, k) if the caller has it.
+
+    Where binom(n, k) reaches 2**_W the level is bounded: runs and
+    failed_checks work from (lo, err) bounds on its sums, and the exact
+    sums are built only when one is read. An idle level has ta = 0 and
+    total = binom(n, k) exactly and bounds each prefix weight by a term
+    walk from it (_walk_bounds). A non-idle level whose row m is in the
+    schedule's unit class bounds ta, total and every prefix weight by one
+    walk out from the mode (_walk_sums); da lies in [da_hi - ta_err,
+    da_hi] and db in [db_hi - ta_err, db_hi]. Every other level is summed
+    exactly when built, and its ta_err is 0.
     """
 
-    __slots__ = ("m", "n", "d", "k", "ta", "total", "da", "db", "bounded",
-                 "_snapshots", "_memo", "_bounds", "_ctx", "_ilo", "_ihi", "_idle")
+    __slots__ = ("m", "n", "d", "k", "bounded", "da_hi", "db_hi", "ta_err", "_ta", "_total",
+                 "_ca", "_cb", "_snapshots", "_memo", "_bounds", "_ctx", "_ilo", "_ihi",
+                 "_idle", "_t0", "_cum", "_cum_at", "_perr")
 
     def __init__(self, ctx: "RankContext", m: int, n: int, k: int, b: Optional[int] = None):
         self.m = m
@@ -194,49 +223,83 @@ class _LevelData:
         self._ctx = ctx
         self._ilo = max(0, k - self.d)
         self._ihi = min(m, k)
-        self._idle = m == 0 or ctx.schedule.is_idle(m)
-        self._snapshots = {}
+        schedule = ctx.schedule
+        self._idle = m == 0 or schedule.is_idle(m)
+        self._snapshots = self._ta = self._total = None
         self._memo = {}
         self._bounds = {}
-        self._build(b)
-
-    def _build(self, b: Optional[int]):
-        d, k = self.d, self.k
-        ilo, ihi = self._ilo, self._ihi
+        if b is None:
+            b = binom(n, k)
+        self._ca, self._cb = ctx.counts(n, k, b)
+        self.bounded = b >> _W > 0
+        sums = None
         if self._idle:
             # all prefixes survive with gap = binom(m, i); the Vandermonde
             # total binom(n, k) is also the b that counts(n, k) takes
-            self.ta = 0
-            self.total = b = binom(self.n, k) if b is None else b
-        else:
-            ta = tb = 0
-            # once per level: kept out of the binom cache, which validating every level would fill
-            for i, cval, ca, cb in self._terms(ilo, ihi + 1, math.comb(d, k - ilo)):
-                if (i - ilo) % _SNAPSHOT_STRIDE == 0:
-                    self._snapshots[i] = (tb - ta, cval)
-                ta += cval * ca
-                tb += cval * cb
-            self.ta = ta
-            self.total = tb - ta
-        ca_n, cb_n = self._ctx.counts(self.n, k, b)
-        self.da = ca_n - self.ta
-        self.db = cb_n - self.ta
-        # whether prefix_bounds walks: an exact sum below 2**_W costs no more
-        self.bounded = self._idle and self.total >> _W > 0
+            self._ta, self._total = 0, b
+        elif self.bounded and schedule.in_unit_class(m):
+            sums = self._walk_sums()
+        if sums is None:
+            self.bounded = self.bounded and self._idle
+            sums = self.ta, 0
+        ta_lo, self.ta_err = sums
+        self.da_hi = self._ca - ta_lo
+        self.db_hi = self._cb - ta_lo
 
-    def failed_checks(self):
+    @property
+    def ta(self) -> int:
+        if self._ta is None:
+            self._build()
+        return self._ta
+
+    @property
+    def total(self) -> int:
+        if self._total is None:
+            self._build()
+        return self._total
+
+    @property
+    def da(self) -> int:
+        return self._ca - self.ta
+
+    @property
+    def db(self) -> int:
+        return self._cb - self.ta
+
+    def _build(self):
+        # the exact sums of a non-idle level, with the gap's running sum
+        # kept every _SNAPSHOT_STRIDE terms for prefix_weight
+        d, k, ilo = self.d, self.k, self._ilo
+        ta = tb = 0
+        snapshots = self._snapshots = {}
+        for i, cval, ca, cb in self._terms(ilo, self._ihi + 1, math.comb(d, k - ilo)):
+            if (i - ilo) % _SNAPSHOT_STRIDE == 0:
+                snapshots[i] = (tb - ta, cval)
+            ta += cval * ca
+            tb += cval * cb
+        self._ta = ta
+        self._total = tb - ta
+
+    def failed_checks(self, settle: bool = True):
         """(kind, lhs, rhs, message) for each level check that fails, in order:
         lower, count_a(n, k) = ta + da >= ta; upper, count_b(n, k) = ta + db
         <= ta + total; order, da <= db.
+
+        A check that the bounds settle takes no exact sum. One they leave
+        open, where a count meets the carried mass to within the bounds'
+        error, is taken on the exact sums if settle is true and passed
+        otherwise.
         """
-        ta, da, db, total = self.ta, self.da, self.db, self.total
-        if da < 0:
-            yield "lower-consistency", ta + da, ta, f"lower consistency: count_a below carried mass by {-da}"
-        if db > total:
-            yield ("upper-consistency", ta + db, ta + total,
-                   f"upper consistency: count_b exceeds carried mass by {db - total}")
-        if da > db:
-            yield "order", ta + da, ta + db, f"count_a {ta + da} above count_b {ta + db}"
+        ca, cb = self._ca, self._cb
+        if self.da_hi < 0 or self.da_hi < self.ta_err and settle and self.da < 0:
+            yield "lower-consistency", ca, self.ta, f"lower consistency: count_a below carried mass by {-self.da}"
+        tot_lo, tot_err = self.prefix_bounds(self._ihi + 1)
+        over = self.db_hi - tot_lo
+        if over > self.ta_err + tot_err or over > 0 and settle and self.db > self.total:
+            yield ("upper-consistency", cb, self.ta + self.total,
+                   f"upper consistency: count_b exceeds carried mass by {self.db - self.total}")
+        if ca > cb:
+            yield "order", ca, cb, f"count_a {ca} above count_b {cb}"
 
     def prefix_weight(self, i: int) -> int:
         """Candidates of weight k whose surviving prefix has fewer than i ones."""
@@ -248,6 +311,8 @@ class _LevelData:
             return self._memo[i]
         if self._idle:
             return self._idle_prefix(i)
+        if self._snapshots is None:
+            self._build()
         base = ((i - self._ilo) // _SNAPSHOT_STRIDE) * _SNAPSHOT_STRIDE + self._ilo
         while base not in self._snapshots:
             base -= _SNAPSHOT_STRIDE
@@ -278,16 +343,99 @@ class _LevelData:
     def prefix_bounds(self, i: int) -> tuple[int, int]:
         """(lo, err) with lo <= prefix_weight(i) <= lo + err.
 
-        A bounded level (idle, total at least 2**_W) bounds the weight by a
-        fixed-point term walk (_walk_bounds). Elsewhere, and once the exact
-        weight is memoized, err is 0.
+        A bounded idle level bounds the weight by a fixed-point term walk
+        from i (_walk_bounds); a bounded non-idle one reads it off the sums
+        of its walk (_walk_sums), past ihi too, where it bounds total.
+        Elsewhere, and once the exact weight is memoized, err is 0.
         """
-        if self.bounded and self._ilo < i <= self._ihi and i not in self._memo:
-            hit = self._bounds.get(i)
-            if hit is None:
-                hit = self._bounds[i] = self._walk_bounds(i)
-            return hit
+        if self.bounded and self._ilo < i and i not in self._memo:
+            if not self._idle:
+                j = min(max(i - self._cum_at, 0), len(self._cum) - 1)
+                return (self._t0 * self._cum[j]) >> _W, self._perr
+            if i <= self._ihi:
+                hit = self._bounds.get(i)
+                if hit is None:
+                    hit = self._bounds[i] = self._walk_bounds(i)
+                return hit
         return self.prefix_weight(i), 0
+
+    def _walk_sums(self) -> Optional[tuple[int, int]]:
+        """(lo, err) bounding ta, from one walk over the terms of a non-idle level.
+
+        t(i) = binom(m, i) binom(d, k - i) is log-concave in i with mode
+        floor((k+1)(m+1)/(n+2)). The walk goes out from the mode on each
+        side, carrying t(i) relative to the exact t0 at the mode in _W
+        fractional bits, rounded down, and weights each term by
+        count(m, i) / binom(m, i), memoized on the context. Step ratios
+        are at most 1 away from the mode, so s steps out the carried term
+        is less than s ulps low. A side stops as _tail_bounds does, and in the
+        unit class the terms it skips have weights in [0, 1]. Keeps t0, the
+        gap's lower running sums (_cum, from i = _cum_at) and one error
+        bound for every prefix weight (_perr). Returns None, for the exact
+        sums, if a weight it visits lies outside [0, 1].
+        """
+        ctx, m, d, k = self._ctx, self.m, self.d, self.k
+        mode = min(max((k + 1) * (m + 1) // (self.n + 2), self._ilo), self._ihi)
+        # up to BINOM_CACHE_LIMIT a run reaching this level has often taken
+        # both binomials, as the last level's total or as chunk sizes
+        bm = binom(m, mode)
+        t0 = bm * binom(d, k - mode)
+        one = 1 << _W
+        row = ctx._ratios[m]
+        ta_lo = tail = slack = 0
+        up, down = [], []
+        for gaps, step, edge in ((up, 1, self._ihi), (down, -1, self._ilo)):
+            # the carried terms of this side, tls[s] at i = mode + step * s
+            tls = [one]
+            i, tl = mode, one
+            while i != edge:
+                if step > 0:
+                    num, den = (m - i) * (k - i), (i + 1) * (d - k + i + 1)
+                else:
+                    num, den = i * (d - k + i), (m - i + 1) * (k - i + 1)
+                # _tail_ends(tl, len(tls) - 1, num, den), inlined
+                if num < den and (tl == 0 or tl < den and (tl + len(tls) - 1) * num <= den - num):
+                    tail += -(-(tl + len(tls) - 1) * num // (den - num))
+                    break
+                tl = tl * num // den
+                i += step
+                tls.append(tl)
+            # the upper ends exceed the lower, s steps out, by at most
+            # (tl + s)(w + 1) - tl w <= tl + (one + 1) s, w <= one, in
+            # 2 * _W fractional bits
+            s = len(tls)
+            slack += s * one + (one + 1) * s * (s - 1) // 2
+            # binom(m, i) at the last ratio missed, stepped to the next miss
+            last, bval = mode, bm
+            # the up side takes the mode's term, the down side starts past it
+            skip = 0 if step > 0 else 1
+            for i, tl in zip(range(mode + skip * step, i + step, step), tls[skip:]):
+                w = row.get(i)
+                if w is None:
+                    if last == i - 1:
+                        bval = bval * (m - i + 1) // i
+                    elif last == i + 1:
+                        bval = bval * (i + 1) // (m - i)
+                    else:
+                        bval = binom(m, i)
+                    last = i
+                    ca, cb = ctx.counts(m, i, bval)
+                    w = row[i] = ((ca << _W) // bval, ((cb - ca) << _W) // bval)
+                ra, rg = w
+                if ra < 0 or rg < 0 or ra + rg > one:
+                    return None
+                ta_lo += tl * ra
+                gaps.append(tl * rg)
+        down.reverse()
+        self._cum_at = mode - len(down)
+        cum, total = [0], 0
+        for g in down + up:
+            total += g
+            cum.append(total >> _W)
+        self._t0, self._cum = t0, cum
+        # a running sum also loses under one ulp to its shift
+        self._perr = -(-t0 * (1 + (-(-slack >> _W)) + tail) >> _W) + 1
+        return (t0 * ta_lo) >> 2 * _W, -(-t0 * (slack + (tail << _W)) >> 2 * _W) + 1
 
     def _walk_bounds(self, i: int) -> tuple[int, int]:
         # t(i') = binom(m, i') binom(d, k - i') is log-concave in i' with mode
@@ -333,26 +481,40 @@ class _LevelData:
         return cum
 
 
+def _tail_ends(tl: int, s: int, num: int, den: int) -> bool:
+    """Whether a term walk may stop at a term carried as tl, less than s
+    ulps low, whose ratio to the next term is num/den.
+
+    Past the mode the ratios only fall, so the terms left sum to at most
+    (tl + s) r / (1 - r), r = num/den. The walk stops once that is at most
+    one ulp or the term itself is under s ulps; past that point, the
+    rounding of each further term costs more than it adds. tl < den is
+    implied by the first test and decides it for most terms.
+    """
+    return num < den and (tl == 0 or tl < den and (tl + s) * num <= den - num)
+
+
 def _tail_bounds(m: int, d: int, k: int, j: int, t: int) -> tuple[int, int]:
     """(lo, err) with lo <= sum_{j' >= j} binom(m, j') binom(d, k - j') <= lo + err.
 
     t is the exact term at j, at or past the terms' mode, so the step
-    ratios num/den only fall. Terms relative to t are carried in _W
-    fractional bits, rounded down on the lower side and up on the upper.
-    Once a ratio r is below 1 and the terms left, at most sh r / (1 - r),
-    come to at most one ulp, that ulp closes the upper side.
+    ratios num/den are at most 1 and only fall. Terms relative to t are
+    carried in _W fractional bits, rounded down, so s steps on a term is
+    less than s ulps low; the walk stops as _tail_ends says, and the
+    geometric bound on the terms left closes the upper side.
     """
-    sl = sh = lo = hi = 1 << _W
+    lo = sl = 1 << _W
+    s = steps = 0
     while True:
         num, den = (m - j) * (k - j), (j + 1) * (d - k + j + 1)
-        j += 1
-        if num < den and sh * num <= den - num:
-            hi += -(-sh * num // (den - num))
+        if _tail_ends(sl, s, num, den):
+            hi = lo + steps + -(-(sl + s) * num // (den - num))
             break
+        j += 1
+        s += 1
         sl = sl * num // den
-        sh = -(-sh * num // den)
         lo += sl
-        hi += sh
+        steps += s
     lo, hi = (t * lo) >> _W, -((-t * hi) >> _W)
     return lo, hi - lo
 
@@ -376,6 +538,9 @@ class RankContext:
     def __init__(self, schedule: EnvelopeSchedule):
         self.schedule = schedule
         self._counts_memo: dict = {}
+        # {m: {i: (count_a / binom(m, i), (count_b - count_a) / binom(m, i))}}
+        # in _W fractional bits rounded down, for every m: the values are small
+        self._ratios: dict = defaultdict(dict)
         self._levels: dict = {}
         self._word = b""
         self._path: list = [(0, _START)]
@@ -395,7 +560,11 @@ class RankContext:
         hit = self._levels.get(key)
         if hit is None:
             hit = _LevelData(self, m, n, k)
-            for _, _, _, message in hit.failed_checks():
+            # a check the bounds leave open would take the exact sums, which
+            # the walk is there to avoid: at n0 -> 2 n0 of the doubling
+            # schedule, whose count_a meets the carried mass exactly, they
+            # take minutes. validate_schedule settles such checks
+            for _, _, _, message in hit.failed_checks(settle=False):
                 raise InvalidSchedule(n, k, message)
             if n <= BINOM_CACHE_LIMIT:
                 self._levels[key] = hit
@@ -416,19 +585,21 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
 
     The rank r of the word at the current level is known to lie in
     [lo, lo + err + width): lo counts lower bounds on the prefix weights
-    and the ranks already read, err bounds what the prefix bounds leave
-    out, and width is the product of the binomials of the chunks whose
-    ranks are not yet read. A chunk's rank is read, oldest chunk first,
-    only while that interval crosses da or db. Should it still cross once
-    every rank is read, the exact prefix weights replace the bounds.
+    and the ranks already read, less upper bounds on the da of the levels
+    passed; err bounds what those bounds leave out; and width is the
+    product of the binomials of the chunks whose ranks are not yet read.
+    The level's own da and db are known to within its ta_err. A chunk's
+    rank is read, oldest chunk first, only while that interval crosses da
+    or db. Should it still cross once every rank is read, the exact sums
+    replace the bounds.
     """
     schedule = ctx.schedule
     j, pos, ones, lo, err, width, unread, head, pending = state
     # (chunk, binom(len(chunk), weight)) in draw order; unread[head:] are
     # the chunks whose ranks are not read
     unread = list(unread)
-    # since err was last 0: (bounded level or None, ones before it, prefix
-    # lower bound, size); an exact level adds nothing to fold, only its size
+    # each level passed since err was last 0: (level whose bounds err
+    # counts, or None, its prefix ones, prefix lower bound, size, da used)
     pending = list(pending)
     while True:
         n = schedule.checkpoint(j)
@@ -445,29 +616,33 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
             plo, perr = data.prefix_weight(ones), 0
         lo = plo + lo * size
         err = perr + err * size
-        if err:
-            pending.append((data if perr else None, ones, plo, size))
         width *= size
         unread.append((chunk, size))
-        ones, pos = new_ones, n
-        da, db = data.da, data.db
+        i, ones, pos = ones, new_ones, n
+        # da in [da - derr, da], db in [db - derr, db]
+        da, db, derr = data.da_hi, data.db_hi, data.ta_err
         while True:
             hi = lo + err + width
-            if hi <= da:
+            if hi <= da - derr:
                 return _ONE, pos
             if lo >= db:
                 return _ZERO, pos
-            if da <= lo and hi <= db:
+            if da <= lo and hi <= db - derr:
                 break
             if head == len(unread):
-                # only err keeps the interval open: fold each level's exact
-                # prefix weight in, scaled by the sizes of the levels after it
+                # only the bounds keep the interval open: fold in the exact
+                # sums of each level passed, scaled by the sizes after it,
+                # and take this level's
                 corr = 0
-                for level, i, bound, level_size in pending:
+                for level, li, bound, level_size, dused in pending:
                     corr *= level_size
                     if level is not None:
-                        corr += level.prefix_weight(i) - bound
-                lo += corr
+                        corr += level.prefix_weight(li) - bound + dused - level.da
+                lo += corr * size
+                if perr:
+                    lo += data.prefix_weight(i) - plo
+                if derr:
+                    da, db, derr = data.da, data.db, 0
                 err = 0
                 pending.clear()
                 continue
@@ -477,7 +652,10 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
             width //= old_size
             lo += word_lexrank(old) * width
         lo -= da
+        err += derr
         j += 1
+        if err:
+            pending.append((data if perr or derr else None, i, plo, size, da))
         if path is not None:
             path.append((pos, (j, pos, ones, lo, err, width, tuple(unread), head, tuple(pending))))
 
@@ -729,8 +907,10 @@ def validate_schedule(
     Violations are report entries, never exceptions: all bounds ones
     first, then per cell lower before upper consistency. Each jump between
     consecutive checkpoints is checked on the level sums a run builds, so
-    a jump from an idle level costs a Vandermonde total per cell; the
-    first checkpoint has only the bounds check. check_bounds=False
+    a jump from an idle level costs a Vandermonde total per cell and a
+    walked one a term walk, with the exact sums only where the bounds
+    leave a check open; the first checkpoint has only the bounds check.
+    check_bounds=False
     restricts the run to the two convolution inequalities, which is what
     raw (unclamped) envelope variants are validated against.
     """

@@ -52,6 +52,7 @@ class DoublingParams:
     n0: int = field(init=False)
     _sqrt_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _exp_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _beta_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.eps = Fraction(self.eps)
@@ -91,6 +92,26 @@ class DoublingParams:
                 m <<= 1
         return self._exp_cache[n]
 
+    def beta_factors(self, n: int) -> tuple[int, int, int, int]:
+        """Integer factors (fa, f1, f2, den) of beta at checkpoint n.
+
+        With eps = e/E, beta = (a fa + h1 f1 + h2 f2) / den, where
+        a = min(2kE, (E - 2e) n) is alpha's numerator over nE and
+        h1 = 2kE - (E - 6e) n and h2 = 9k - n are the hinges' numerators
+        over 2nE and 9n, each taken only where positive. With
+        C1 sqrt_surrogate(n) = P1/Q1 and C2 exp_surrogate(n) = P2/Q2,
+        den = 18 n E Q1 Q2.
+        """
+        hit = self._beta_cache.get(n)
+        if hit is None:
+            c1 = self.C1 * self.sqrt_surrogate(n)
+            c2 = self.C2 * self.exp_surrogate(n)
+            p1, q1, p2, q2 = c1.numerator, c1.denominator, c2.numerator, c2.denominator
+            big_e = self.eps.denominator
+            hit = self._beta_cache[n] = (18 * q1 * q2, 9 * p1 * q2, 2 * big_e * p2 * q1,
+                                         18 * n * big_e * q1 * q2)
+        return hit
+
     def _search_n0(self) -> int:
         n = 1
         while True:
@@ -107,23 +128,24 @@ def alpha_beta_doubling(params: DoublingParams, n: int, k: int) -> tuple[Fractio
 
     alpha = min(2k/n, 1-2eps). beta adds two hinge corrections, each a
     coefficient times the positive part of k/n past a threshold, weighted
-    by the sqrt and exp surrogates.
+    by the sqrt and exp surrogates. Summed in integers over the common
+    denominator of DoublingParams.beta_factors.
     """
     if not _is_pow2(n):
         raise ValueError("n must be a positive power of two")
     if not 0 <= k <= n:
         raise ValueError("k outside [0, n]")
-    x = Fraction(k, n)
-    eps = params.eps
-    alpha = min(2 * x, 1 - 2 * eps)
-    hinge1 = x - (Fraction(1, 2) - 3 * eps)
-    hinge2 = x - Fraction(1, 9)
-    beta = alpha
-    if hinge1 > 0:
-        beta += params.C1 * hinge1 * params.sqrt_surrogate(n)
-    if hinge2 > 0:
-        beta += params.C2 * hinge2 * params.exp_surrogate(n)
-    return alpha, beta
+    e, big_e = params.eps.numerator, params.eps.denominator
+    fa, f1, f2, den = params.beta_factors(n)
+    a = min(2 * k * big_e, (big_e - 2 * e) * n)
+    num = a * fa
+    h1 = 2 * k * big_e - (big_e - 6 * e) * n
+    if h1 > 0:
+        num += h1 * f1
+    h2 = 9 * k - n
+    if h2 > 0:
+        num += h2 * f2
+    return Fraction(a, n * big_e), Fraction(num, den)
 
 
 def doubling_schedule(params: DoublingParams) -> EnvelopeSchedule:
@@ -154,6 +176,8 @@ def _doubling_envelope(params: DoublingParams, name: str, idle_below: int,
         lambda j: 1 << j,
         ab_fn=lambda n, k: alpha_beta_doubling(params, n, k),
         idle_below=idle_below,
+        # beta <= 1 at n0 and falls with n at each k/n; alpha = min(2k/n, 1 - 2 eps)
+        unit_from=params.n0,
         metadata_extra={
             "n0": params.n0,
             **variant,
@@ -230,6 +254,7 @@ def smooth_schedule(params: SmoothnessParams) -> EnvelopeSchedule:
         lambda j: 1 << j,
         ab_fn=ab,
         idle_below=first_active,
+        unit_from=0,  # the pair is clamped to [0, 1] around f(k/n)
         metadata_extra={
             "first_active": first_active,
             "constants": {
@@ -266,6 +291,7 @@ def monomial_schedule(j: int) -> EnvelopeSchedule:
         {"exponent": j},
         lambda t: j << t,
         ab_fn=ab,
+        unit_from=0,
         metadata_extra={"first_active": j},
     )
 
@@ -289,6 +315,7 @@ def corrupt_monomial_fixture() -> EnvelopeSchedule:
         {"exponent": 2},
         base.checkpoint,
         ab_fn=ab,
+        unit_from=0,
         metadata_extra={"planted_defect": "count_a(4,2) below carried lower mass"},
     )
 

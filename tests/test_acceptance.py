@@ -13,6 +13,7 @@ slack in the exponential).
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from coinfactory import (
     HomogeneousPoly,
     RankContext,
     SmoothnessParams,
+    Undecided,
     WalkConfig,
     compile_to_plan,
     constant_plan,
@@ -349,6 +351,19 @@ def test_criterion_8_doubling_smoke_run_terminates_past_n0():
     assert widths[0] > widths[1] > widths[2] > 0
     assert widths[1] / widths[0] < 0.9
     assert widths[2] / widths[1] < 0.9
+
+
+def test_criterion_8_a_run_continuing_at_n0_reaches_2n0():
+    # about 2.4% of runs at p = 1/4 continue at n0; seed 147's is one, and
+    # it decides at 2 n0 on the walked level n0 -> 2 n0
+    sched = doubling_schedule(DoublingParams(Fraction(3, 25)))
+    n0 = sched.metadata()["n0"]
+    with pytest.raises(Undecided):
+        simulate(sched, GeneratorSource(147, Fraction(1, 4)), max_tosses=n0)
+    start = time.perf_counter()
+    outcome = simulate(sched, GeneratorSource(147, Fraction(1, 4)))
+    assert outcome.tosses == 2 * n0 == 262144
+    assert time.perf_counter() - start < 10
 
 
 # --- 9: feasibility diagnostic ---------------------------------------------------------------

@@ -18,13 +18,16 @@ from hypothesis import strategies as st
 
 from coinfactory import (
     Decision,
+    DoublingParams,
     GeneratorSource,
     RankContext,
     TapeSource,
     decide,
+    doubling_raw_schedule,
     dump_envelope_csv,
     envelope_eval,
     monomial_schedule,
+    monte_carlo,
     corrupt_monomial_fixture,
     simulate,
     smooth_schedule,
@@ -34,7 +37,7 @@ from coinfactory import (
 )
 from coinfactory import engine
 from coinfactory.engine import EnvelopeSchedule, Violation, _LevelData
-from coinfactory.numerics import comb
+from coinfactory.numerics import binom, comb
 from coinfactory.errors import InvalidSchedule, SourceExhausted, Undecided
 from coinfactory.schedules import MODE_LIPSCHITZ
 
@@ -254,15 +257,16 @@ def _outcome(run, ctx, word, cap):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(sorted(_RANK_SCHEDULES)),
        st.integers(min_value=0, max_value=2 ** 32 - 1),
-       st.one_of(st.none(), st.integers(min_value=0, max_value=2048)))
+       st.one_of(st.none(), st.integers(min_value=0, max_value=4096)))
 def test_lazy_rank_loop_equals_the_exact_loop(name, seed, cap):
     # each example runs a batch of tapes, so the runs spread over early
-    # and late decisions, long refinements, caps and exhausted tapes
+    # and late decisions, long refinements, caps and exhausted tapes; past
+    # about 2**8 bits the active levels rank on walk bounds
     lazy_ctx, exact_ctx = _rank_contexts(name)
     rng = random.Random(seed)
     for _ in range(20):
         p = rng.choice([0.1, 0.3, 0.5, 0.9])
-        length = rng.choice([rng.randrange(20), rng.randrange(2049), 2048])
+        length = rng.choice([rng.randrange(20), rng.randrange(4097), 4096])
         word = [int(rng.random() < p) for _ in range(length)]
         assert _outcome(engine._rank_run, lazy_ctx, word, cap) == \
             _outcome(exact_rank_run, exact_ctx, word, cap)
@@ -394,9 +398,9 @@ def _bounded_jump_schedule():
     return schedule, RankContext(schedule)
 
 
-def _unrank_from_idle(ctx, n, k, r):
+def _unrank(ctx, n, k, r):
     """The word of length n and weight k with rank r at checkpoint n, for
-    doubling checkpoints that are idle below n."""
+    doubling checkpoints; its prefix continues at every checkpoint below n."""
     if n == 1:
         return (k,)
     m = n // 2
@@ -406,7 +410,9 @@ def _unrank_from_idle(ctx, n, k, r):
         mid = (lo + hi + 1) // 2
         lo, hi = (mid, hi) if level.prefix_weight(mid) <= r else (lo, mid - 1)
     rho, lex = divmod(r - level.prefix_weight(lo), comb(n - m, k - lo))
-    return _unrank_from_idle(ctx, m, lo, rho) + word_unrank(n - m, k - lo, lex)
+    # the prefix's rank at m is rho above that level's da
+    below = _LevelData(ctx, m // 2, m, lo).da if m > 1 else 0
+    return _unrank(ctx, m, lo, below + rho) + word_unrank(n - m, k - lo, lex)
 
 
 @settings(max_examples=8, deadline=None)
@@ -419,11 +425,119 @@ def test_lazy_rank_loop_equals_the_exact_loop_past_a_bounded_jump(k, at_db, offs
     schedule, exact_ctx = _bounded_jump_schedule()
     level = exact_ctx.level_data(12, 2048, 4096, k)
     r = (level.db if at_db else level.da) + offset
-    word = _unrank_from_idle(exact_ctx, 4096, k, r)
+    word = _unrank(exact_ctx, 4096, k, r)
     assert sum(word) == k
     # a fresh context, so no exact prefix weight is memoized for the run
     assert _outcome(engine._rank_run, RankContext(schedule), word, 4096) == \
         _outcome(exact_rank_run, exact_ctx, word, 4096)
+
+
+@lru_cache(maxsize=None)
+def _walked_jump_schedule():
+    # idle below 8: the jump 2**11 -> 2**12 is active and ranks on walk bounds
+    schedule = smooth_schedule(lipschitz_params(Fraction(1, 4)))
+    return schedule, RankContext(schedule)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=1024, max_value=3072), st.booleans(),
+       st.integers(min_value=-2, max_value=2))
+def test_lazy_rank_loop_equals_the_exact_loop_past_a_walked_jump(k, at_db, offset):
+    # a rank a step or two from da or db at the non-idle level 2**11 ->
+    # 2**12 stays inside the bounds' error on da and db once every chunk
+    # is read, so the run takes that level's exact sums
+    schedule, exact_ctx = _walked_jump_schedule()
+    level = exact_ctx.level_data(12, 2048, 4096, k)
+    assert level.bounded and level.ta_err > 0
+    r = (level.db if at_db else level.da) + offset
+    word = _unrank(exact_ctx, 4096, k, r)
+    assert sum(word) == k
+    ctx = RankContext(schedule)
+    assert _outcome(engine._rank_run, ctx, word, 4096) == \
+        _outcome(exact_rank_run, exact_ctx, word, 4096)
+    assert ctx.level_data(12, 2048, 4096, k)._ta is not None
+
+
+def _planted_lipschitz(cell, shift):
+    # Lipschitz 1/4 with alpha and beta at one cell moved by shift
+    base = smooth_schedule(lipschitz_params(Fraction(1, 4)))
+
+    def ab(n, k):
+        a, b = base.ab_values(n, k)
+        return (a + shift, b + shift) if (n, k) == cell else (a, b)
+
+    return EnvelopeSchedule("planted", {}, base.checkpoint, ab_fn=ab,
+                            idle_below=base.idle_below, unit_from=0)
+
+
+@pytest.mark.parametrize("make, cap, check_bounds", [
+    (lambda: smooth_schedule(lipschitz_params(Fraction(1, 4))), 2048, True),
+    (lambda: doubling_raw_schedule(DoublingParams(Fraction(3, 25))), 1024, False),
+    # a planted cell fails a consistency check of its bounded level, and
+    # the levels that jump from its row fail the other
+    (lambda: _planted_lipschitz((512, 256), Fraction(1, 10)), 1024, True),
+    (lambda: _planted_lipschitz((512, 300), Fraction(-1, 10)), 1024, True),
+], ids=["lipschitz", "doubling_raw", "planted_up", "planted_down"])
+def test_validation_on_bounds_reports_as_the_exact_sums(monkeypatch, make, cap, check_bounds):
+    bounded = validate_schedule(make(), cap, check_bounds)
+    monkeypatch.setattr(engine, "_W", 1 << 20)  # no level reaches 2**_W: all exact
+    exact = validate_schedule(make(), cap, check_bounds)
+    assert bounded == exact
+
+
+def _counting_exact_builds(monkeypatch):
+    # the exact sums built for non-idle levels that reach 2**_W, which
+    # rank and are checked on walk bounds
+    calls = []
+    build = _LevelData._build
+
+    def counted(self, *args):
+        if not self._idle and binom(self.n, self.k) >> engine._W:
+            calls.append((self.n, self.k))
+        return build(self, *args)
+
+    monkeypatch.setattr(_LevelData, "_build", counted)
+    return calls
+
+
+def test_lipschitz_validates_clean_to_4096_on_bounds(monkeypatch):
+    # the exact sums take about 40 s here and report no violation
+    # (2 cores, Python 3.11.7); the bounds settle every check
+    exact = _counting_exact_builds(monkeypatch)
+    report = validate_schedule(smooth_schedule(lipschitz_params(Fraction(1, 4))), 4096)
+    assert report.violations == [] and report.checked[-1] == 4096
+    assert exact == []
+
+
+def test_capped_lipschitz_runs_take_almost_no_exact_non_idle_sums(monkeypatch):
+    # criterion 3c's schedule and cap: every level from about 2**8 on is
+    # walked, and its exact sums are built only for a fallback
+    exact = _counting_exact_builds(monkeypatch)
+    sched = smooth_schedule(lipschitz_params(Fraction(1, 4)))
+    report = monte_carlo(sched, Fraction(3, 10), 3000, 17, max_tosses=4096, undecided="midpoint")
+    assert report.runs == 3000
+    assert len(exact) <= 5
+
+
+def test_a_run_passes_a_level_whose_checks_only_the_exact_sums_settle():
+    # p**1 is exact: da = 0 and db = total at every level, so no bound can
+    # settle the consistency checks. A run's level leaves them to
+    # validation, which takes the exact sums
+    sched = monomial_schedule(1)
+    level = RankContext(sched).level_data(8, 128, 256, 128)
+    assert level.bounded and level._ta is None
+    assert list(level.failed_checks()) == []
+    assert level._ta is not None and level.da == 0 and level.db == level.total
+
+
+@pytest.mark.parametrize("cell, shift, check", [
+    ((512, 300), Fraction(-1, 10), "lower consistency"),
+    ((512, 256), Fraction(1, 10), "upper consistency"),
+])
+def test_a_run_refuses_a_level_whose_bounds_show_a_violation(cell, shift, check):
+    sched = _planted_lipschitz(cell, shift)
+    with pytest.raises(InvalidSchedule, match=check):
+        RankContext(sched).level_data(9, 256, *cell)
 
 
 # --- envelope evaluation -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Envelope schedule families: doubling, smooth, monomial, Polya, continuous."""
 
+import math
 from dataclasses import fields
 from fractions import Fraction
 
@@ -36,6 +37,35 @@ def test_alpha_beta_examples():
     assert alpha_beta_doubling(params, 16, 1) == (Fraction(1, 8), Fraction(1, 8))
     assert alpha_beta_doubling(params, 8, 4)[0] == Fraction(4, 5)
     assert alpha_beta_doubling(params, 8, 0) == (0, 0)
+
+
+def _alpha_beta_in_fractions(params, n, k):
+    # the formula as DoublingParams states it, in Fraction arithmetic
+    x = Fraction(k, n)
+    eps = params.eps
+    alpha = min(2 * x, 1 - 2 * eps)
+    hinge1 = x - (Fraction(1, 2) - 3 * eps)
+    hinge2 = x - Fraction(1, 9)
+    beta = alpha
+    if hinge1 > 0:
+        beta += params.C1 * hinge1 * params.sqrt_surrogate(n)
+    if hinge2 > 0:
+        beta += params.C2 * hinge2 * params.exp_surrogate(n)
+    return alpha, beta
+
+
+@pytest.mark.parametrize("eps", [Fraction(3, 25), Fraction(1, 20), Fraction(1, 9)])
+def test_alpha_beta_in_integers_equals_the_fraction_formula(eps):
+    # every power of two up to 2**20, at k on both sides of alpha's cap
+    # 2k/n = 1 - 2 eps and of the hinges k/n = 1/2 - 3 eps and k/n = 1/9
+    params = DoublingParams(eps)
+    for j in range(21):
+        n = 1 << j
+        ks = {0, n}
+        for t in (n * (1 - 2 * eps) / 2, n * (Fraction(1, 2) - 3 * eps), Fraction(n, 9)):
+            ks.update(k for k in range(math.floor(t) - 1, math.ceil(t) + 2) if 0 <= k <= n)
+        for k in sorted(ks):
+            assert alpha_beta_doubling(params, n, k) == _alpha_beta_in_fractions(params, n, k)
 
 
 def test_alpha_beta_rejects_bad_cells():
