@@ -393,7 +393,7 @@ class _LevelData:
                     num, den = (m - i) * (k - i), (i + 1) * (d - k + i + 1)
                 else:
                     num, den = i * (d - k + i), (m - i + 1) * (k - i + 1)
-                # _tail_ends(tl, len(tls) - 1, num, den), inlined
+                # the stop rule of _tail_bounds, s = len(tls) - 1
                 if num < den and (tl == 0 or tl < den and (tl + len(tls) - 1) * num <= den - num):
                     tail += -(-(tl + len(tls) - 1) * num // (den - num))
                     break
@@ -481,33 +481,24 @@ class _LevelData:
         return cum
 
 
-def _tail_ends(tl: int, s: int, num: int, den: int) -> bool:
-    """Whether a term walk may stop at a term carried as tl, less than s
-    ulps low, whose ratio to the next term is num/den.
-
-    Past the mode the ratios only fall, so the terms left sum to at most
-    (tl + s) r / (1 - r), r = num/den. The walk stops once that is at most
-    one ulp or the term itself is under s ulps; past that point, the
-    rounding of each further term costs more than it adds. tl < den is
-    implied by the first test and decides it for most terms.
-    """
-    return num < den and (tl == 0 or tl < den and (tl + s) * num <= den - num)
-
-
 def _tail_bounds(m: int, d: int, k: int, j: int, t: int) -> tuple[int, int]:
     """(lo, err) with lo <= sum_{j' >= j} binom(m, j') binom(d, k - j') <= lo + err.
 
     t is the exact term at j, at or past the terms' mode, so the step
     ratios num/den are at most 1 and only fall. Terms relative to t are
     carried in _W fractional bits, rounded down, so s steps on a term is
-    less than s ulps low; the walk stops as _tail_ends says, and the
-    geometric bound on the terms left closes the upper side.
+    less than s ulps low, and the terms left past a term sl sum to at
+    most (sl + s) r / (1 - r), r = num/den. The walk stops once that is
+    at most one ulp (for which sl < den is needed, and a cheap first
+    test), or once sl is 0: past that point each further term's rounding
+    costs more than the term adds. The geometric bound closes the upper
+    side.
     """
     lo = sl = 1 << _W
     s = steps = 0
     while True:
         num, den = (m - j) * (k - j), (j + 1) * (d - k + j + 1)
-        if _tail_ends(sl, s, num, den):
+        if num < den and (sl == 0 or sl < den and (sl + s) * num <= den - num):
             hi = lo + steps + -(-(sl + s) * num // (den - num))
             break
         j += 1

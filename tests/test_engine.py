@@ -501,8 +501,8 @@ def _counting_exact_builds(monkeypatch):
 
 
 def test_lipschitz_validates_clean_to_4096_on_bounds(monkeypatch):
-    # the exact sums take about 40 s here and report no violation
-    # (2 cores, Python 3.11.7); the bounds settle every check
+    # on the exact sums this validation takes about 40 s and reports no
+    # violation (2 cores, Python 3.11.7); the bounds settle every check
     exact = _counting_exact_builds(monkeypatch)
     report = validate_schedule(smooth_schedule(lipschitz_params(Fraction(1, 4))), 4096)
     assert report.violations == [] and report.checked[-1] == 4096
