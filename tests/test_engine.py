@@ -470,19 +470,20 @@ def _planted_lipschitz(cell, shift):
                             idle_below=base.idle_below, unit_from=0)
 
 
-@pytest.mark.parametrize("make, cap, check_bounds", [
-    (lambda: smooth_schedule(lipschitz_params(Fraction(1, 4))), 2048, True),
-    (lambda: doubling_raw_schedule(DoublingParams(Fraction(3, 25))), 1024, False),
+@pytest.mark.parametrize("make, cap, check_bounds, clean", [
+    (lambda: smooth_schedule(lipschitz_params(Fraction(1, 4))), 2048, True, True),
+    (lambda: doubling_raw_schedule(DoublingParams(Fraction(3, 25))), 1024, False, True),
     # a planted cell fails a consistency check of its bounded level, and
     # the levels that jump from its row fail the other
-    (lambda: _planted_lipschitz((512, 256), Fraction(1, 10)), 1024, True),
-    (lambda: _planted_lipschitz((512, 300), Fraction(-1, 10)), 1024, True),
+    (lambda: _planted_lipschitz((512, 256), Fraction(1, 10)), 1024, True, False),
+    (lambda: _planted_lipschitz((512, 300), Fraction(-1, 10)), 1024, True, False),
 ], ids=["lipschitz", "doubling_raw", "planted_up", "planted_down"])
-def test_validation_on_bounds_reports_as_the_exact_sums(monkeypatch, make, cap, check_bounds):
+def test_validation_on_bounds_reports_as_the_exact_sums(monkeypatch, make, cap, check_bounds, clean):
     bounded = validate_schedule(make(), cap, check_bounds)
     monkeypatch.setattr(engine, "_W", 1 << 20)  # no level reaches 2**_W: all exact
     exact = validate_schedule(make(), cap, check_bounds)
     assert bounded == exact
+    assert (exact.violations == []) is clean
 
 
 def _counting_exact_builds(monkeypatch):
