@@ -275,11 +275,11 @@ class GeneratorSource(CoinSource):
         stop = start + count
         q = self._q
         if count > _SHORT_DRAW or stop - len(words) > self._block:
-            # the rest comes in one numpy draw
-            self._pos = len(words)
-            u = self._bitgen.random_raw(stop - len(words))
-            if len(words) > start:
-                u = np.concatenate((np.array(words[start:], dtype=np.uint64), u))
+            # the buffered words, and any rest in one numpy draw
+            self._pos = min(stop, len(words))
+            u = self._bitgen.random_raw(stop - self._pos)
+            if self._pos > start:
+                u = np.concatenate((np.array(words[start:self._pos], dtype=np.uint64), u))
             bits = (u < np.uint64(q)).astype(np.uint8).tolist()
             boundary = () if self._exact else np.nonzero(u == np.uint64(q))[0].tolist()
         else:

@@ -21,7 +21,9 @@ level bounds its prefix weights, and a non-idle one in the unit class
 and so da and db. The exact sums are the fallback, built only when the
 bounds' error alone keeps the interval crossing a count once every rank
 is read, or when validate_schedule meets a consistency check that the
-bounds leave open; a run passes such a check.
+bounds leave open. A run refuses a level whose bounds refute a check;
+one they leave open it takes on the exact sums if it builds them, and
+passes otherwise.
 
 The counts and level sums a run memoizes depend on the schedule alone,
 so each schedule owns one RankContext that all its runs share, and only
@@ -91,10 +93,14 @@ class EnvelopeSchedule:
     (alpha, beta) = (0, 1), counts (0, binom(n,k)). Every run of the
     schedule ranks on its rank_context.
 
-    unit_from, if given, declares that every row n >= unit_from is in the
-    unit class, 0 <= alpha <= beta <= 1 at every k. Only a level from such
-    a row ranks on bounds, since its walk bounds the terms it skips by
-    weights in [0, 1]; the other levels are summed exactly.
+    unit_from declares that every row n >= unit_from is in the unit
+    class, 0 <= alpha <= beta <= 1 at every k; it defaults to idle_below,
+    every active row. Only a non-idle level from such a row ranks on
+    bounds, and they are sound only if the declaration holds: its walk
+    checks the weights it visits, and bounds the terms it skips by weights
+    in [0, 1]. A schedule whose active rows can leave [0, 1], as
+    doubling_raw_schedule's below n0 do, passes the first row from which
+    they cannot; the levels from earlier rows are summed exactly.
     """
 
     def __init__(
@@ -112,7 +118,7 @@ class EnvelopeSchedule:
         self._checkpoint_fn = checkpoint_fn
         self._ab_fn = ab_fn
         self.idle_below = idle_below
-        self.unit_from = unit_from
+        self.unit_from = idle_below if unit_from is None else unit_from
         self._metadata_extra = dict(metadata_extra or {})
         self.rank_context = RankContext(self)
 
@@ -138,7 +144,7 @@ class EnvelopeSchedule:
         return n < self.idle_below
 
     def in_unit_class(self, n: int) -> bool:
-        return self.unit_from is not None and n >= self.unit_from
+        return n >= self.unit_from
 
     def counts(self, n: int, k: int, b: Optional[int] = None) -> tuple[int, int]:
         if self.is_idle(n):
@@ -288,18 +294,33 @@ class _LevelData:
         A check that the bounds settle takes no exact sum. One they leave
         open, where a count meets the carried mass to within the bounds'
         error, is taken on the exact sums if settle is true and passed
-        otherwise.
+        otherwise. If settle is true, lhs and rhs are exact; if not, a
+        failed consistency check's rhs is the bound on the carried mass
+        that refutes it, and no exact sum is built.
         """
         ca, cb = self._ca, self._cb
+        at = "" if settle or not self.ta_err else "at least "
         if self.da_hi < 0 or self.da_hi < self.ta_err and settle and self.da < 0:
-            yield "lower-consistency", ca, self.ta, f"lower consistency: count_a below carried mass by {-self.da}"
+            # ta_lo = ca - da_hi
+            ta = self.ta if settle else ca - self.da_hi
+            yield ("lower-consistency", ca, ta,
+                   f"lower consistency: count_a below carried mass by {at}{ta - ca}")
         tot_lo, tot_err = self.prefix_bounds(self._ihi + 1)
         over = self.db_hi - tot_lo
         if over > self.ta_err + tot_err or over > 0 and settle and self.db > self.total:
-            yield ("upper-consistency", cb, self.ta + self.total,
-                   f"upper consistency: count_b exceeds carried mass by {self.db - self.total}")
+            carried = self.ta + self.total if settle else cb - over + self.ta_err + tot_err
+            yield ("upper-consistency", cb, carried,
+                   f"upper consistency: count_b exceeds carried mass by {at}{cb - carried}")
         if ca > cb:
             yield "order", ca, cb, f"count_a {ca} above count_b {cb}"
+
+    def settled_d(self) -> tuple[int, int]:
+        """(da, db) from the exact sums, once the consistency checks that
+        the bounds left open are taken on them: InvalidSchedule if one fails."""
+        if self.ta_err:
+            for _, _, _, message in self.failed_checks():
+                raise InvalidSchedule(self.n, self.k, message)
+        return self.da, self.db
 
     def prefix_weight(self, i: int) -> int:
         """Candidates of weight k whose surviving prefix has fewer than i ones."""
@@ -554,7 +575,8 @@ class RankContext:
             # a check the bounds leave open would take the exact sums, which
             # the walk is there to avoid: at n0 -> 2 n0 of the doubling
             # schedule, whose count_a meets the carried mass exactly, they
-            # take minutes. validate_schedule settles such checks
+            # take minutes. A run settles such checks where it takes the
+            # exact sums (settled_d), and validate_schedule always does
             for _, _, _, message in hit.failed_checks(settle=False):
                 raise InvalidSchedule(n, k, message)
             if n <= BINOM_CACHE_LIMIT:
@@ -582,7 +604,8 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
     The level's own da and db are known to within its ta_err. A chunk's
     rank is read, oldest chunk first, only while that interval crosses da
     or db. Should it still cross once every rank is read, the exact sums
-    replace the bounds.
+    replace the bounds, and the checks the bounds left open are taken on
+    them.
     """
     schedule = ctx.schedule
     j, pos, ones, lo, err, width, unread, head, pending = state
@@ -628,12 +651,12 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
                 for level, li, bound, level_size, dused in pending:
                     corr *= level_size
                     if level is not None:
-                        corr += level.prefix_weight(li) - bound + dused - level.da
+                        corr += level.prefix_weight(li) - bound + dused - level.settled_d()[0]
                 lo += corr * size
                 if perr:
                     lo += data.prefix_weight(i) - plo
                 if derr:
-                    da, db, derr = data.da, data.db, 0
+                    (da, db), derr = data.settled_d(), 0
                 err = 0
                 pending.clear()
                 continue

@@ -176,7 +176,9 @@ def _doubling_envelope(params: DoublingParams, name: str, idle_below: int,
         lambda j: 1 << j,
         ab_fn=lambda n, k: alpha_beta_doubling(params, n, k),
         idle_below=idle_below,
-        # beta <= 1 at n0 and falls with n at each k/n; alpha = min(2k/n, 1 - 2 eps)
+        # beta <= 1 from n0 on, where it falls with n at each k/n, and
+        # alpha = min(2k/n, 1 - 2 eps); below n0 the raw variant's beta
+        # exceeds 1
         unit_from=params.n0,
         metadata_extra={
             "n0": params.n0,
@@ -254,7 +256,6 @@ def smooth_schedule(params: SmoothnessParams) -> EnvelopeSchedule:
         lambda j: 1 << j,
         ab_fn=ab,
         idle_below=first_active,
-        unit_from=0,  # the pair is clamped to [0, 1] around f(k/n)
         metadata_extra={
             "first_active": first_active,
             "constants": {
@@ -291,7 +292,6 @@ def monomial_schedule(j: int) -> EnvelopeSchedule:
         {"exponent": j},
         lambda t: j << t,
         ab_fn=ab,
-        unit_from=0,
         metadata_extra={"first_active": j},
     )
 
@@ -315,7 +315,6 @@ def corrupt_monomial_fixture() -> EnvelopeSchedule:
         {"exponent": 2},
         base.checkpoint,
         ab_fn=ab,
-        unit_from=0,
         metadata_extra={"planted_defect": "count_a(4,2) below carried lower mass"},
     )
 

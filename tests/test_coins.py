@@ -201,7 +201,8 @@ def test_short_draws_and_next_bit_read_one_stream_through_a_boundary_word(seed):
     # 5 is refined; it falls inside the short draw of tosses 3..6
     raw = np.random.PCG64(seed).random_raw(6).tolist()
     bias = Fraction(2 * raw[5] + 1, 2 ** 65)
-    plan = [3, -4, -1, 2, -30, -1, -200, 5, -5000, -7, 1, -3, -130]  # > 0: next_bit calls
+    plan = [3, -4, -1, 2, -30, -1, -200, 5, -5000, -7, 1, -3, -130,  # > 0: next_bit calls
+            1, -200, -60]
     total = sum(abs(c) for c in plan)
     per_bit = GeneratorSource(seed, bias)
     expected = [per_bit.next_bit() for _ in range(total)]
@@ -215,10 +216,11 @@ def test_short_draws_and_next_bit_read_one_stream_through_a_boundary_word(seed):
     assert expected[5] == _refined_bits(seed, bias, 1)[0]
     assert mixed._refiner is not None
     # a short draw that one refill covers takes the next block, as
-    # next_bit does (8, 16, 32, 64, 128 words); the 200-, 5000- and
-    # 130-bit draws take the 185, 4941 and 13 words that the buffer lacks
-    # in one call each
-    assert mixed._bitgen.sizes == [8, 16, 32, 185, 64, 4941, 128, 13]
+    # next_bit does (8, 16, 32, 64, 128, 256, 512 words); the first 200-,
+    # the 5000- and the 130-bit draws take the 185, 4941 and 13 words that
+    # the buffer lacks in one call each, and the second 200-bit draw, which
+    # the 256-word buffer covers, draws no word
+    assert mixed._bitgen.sizes == [8, 16, 32, 185, 64, 4941, 128, 13, 256, 0, 512]
 
 
 def test_generator_boundary_words_refine_alike_in_both_paths():

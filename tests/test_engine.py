@@ -467,7 +467,7 @@ def _planted_lipschitz(cell, shift):
         return (a + shift, b + shift) if (n, k) == cell else (a, b)
 
     return EnvelopeSchedule("planted", {}, base.checkpoint, ab_fn=ab,
-                            idle_below=base.idle_below, unit_from=0)
+                            idle_below=base.idle_below)
 
 
 @pytest.mark.parametrize("make, cap, check_bounds, clean", [
@@ -535,10 +535,40 @@ def test_a_run_passes_a_level_whose_checks_only_the_exact_sums_settle():
     ((512, 300), Fraction(-1, 10), "lower consistency"),
     ((512, 256), Fraction(1, 10), "upper consistency"),
 ])
-def test_a_run_refuses_a_level_whose_bounds_show_a_violation(cell, shift, check):
+def test_a_run_refuses_a_level_whose_bounds_show_a_violation(monkeypatch, cell, shift, check):
+    # on the bounds alone: the refusal builds no exact sum
+    exact = _counting_exact_builds(monkeypatch)
     sched = _planted_lipschitz(cell, shift)
-    with pytest.raises(InvalidSchedule, match=check):
+    with pytest.raises(InvalidSchedule, match=f"{check}: .* by at least"):
         RankContext(sched).level_data(9, 256, *cell)
+    assert exact == []
+
+
+@pytest.mark.parametrize("check", ["lower", "upper"])
+def test_a_run_refuses_a_level_whose_open_check_fails_on_the_exact_sums(check):
+    # count_a (count_b) of one cell of the walked level 2**11 -> 2**12 is
+    # planted one below (above) the carried mass. The bounds' error leaves
+    # the check open, so the level is built; a run whose rank there sits
+    # at that count takes the level's exact sums and refuses it
+    base, exact_ctx = _walked_jump_schedule()
+    n, k = 4096, 2048
+    level = exact_ctx.level_data(12, 2048, n, k)
+    alpha, beta = base.ab_values(n, k)
+    if check == "lower":
+        pair, r = (Fraction(level.ta - 1, binom(n, k)), beta), 0
+    else:
+        pair, r = (alpha, Fraction(level.ta + level.total + 1, binom(n, k))), level.total - 1
+    sched = EnvelopeSchedule("planted", {}, base.checkpoint, idle_below=base.idle_below,
+                             ab_fn=lambda m, i: pair if (m, i) == (n, k) else base.ab_values(m, i))
+    ctx = RankContext(sched)
+    planted = ctx.level_data(12, 2048, n, k)
+    assert planted._ta is None and (planted.da_hi > 0 if check == "lower" else
+                                    planted.db_hi - planted.ta_err < level.total)
+    word = _unrank(exact_ctx, n, k, r)
+    with pytest.raises(InvalidSchedule, match=f"{check} consistency"):
+        engine._rank_run(ctx, TapeSource(word).draw_bits, n)
+    # the reference loop, on the exact sums, passes the level
+    assert exact_rank_run(ctx, TapeSource(word).draw_bits, n) == (Decision.Continue, n)
 
 
 # --- envelope evaluation -------------------------------------------------------

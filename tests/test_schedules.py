@@ -299,6 +299,50 @@ def test_continuous_certificate_is_stable():
     assert p1.certificate_hash == p2.certificate_hash
 
 
+# --- the unit class each schedule declares ------------------------------------------
+
+
+@pytest.mark.parametrize("make, cap", [
+    (lipschitz_schedule, 1024),
+    (lambda: smooth_schedule(SmoothnessParams(
+        lambda p: Fraction(1, 2) + p * p / 8, MODE_C2, Fraction(1, 4), Fraction(1, 4))), 1024),
+    (lambda: monomial_schedule(2), 1024),
+    (lambda: continuous_schedule(ContinuousParams(
+        lambda p: Fraction(1, 2) + p / 4, Fraction(1, 4), (5, 6, 7))), 128),
+    (lambda: doubling_raw_schedule(DoublingParams(Fraction(3, 25))), 256),
+], ids=["lipschitz", "c2", "monomial", "continuous", "doubling_raw"])
+def test_rows_declared_in_the_unit_class_pass_the_bounds_check(make, cap):
+    # a walked level's tail bounds are sound only on rows with
+    # 0 <= count_a <= count_b <= binom(n, k), which unit_from declares
+    sched = make()
+    report = validate_schedule(sched, cap)
+    assert all(v.n < sched.unit_from for v in report.violations if v.kind == "bounds")
+    if sched.name == "doubling-raw":
+        # its rows below n0 fail the check, so they are left out
+        assert sched.unit_from == DoublingParams(Fraction(3, 25)).n0
+        assert any(v.kind == "bounds" for v in report.violations)
+    else:
+        assert sched.unit_from == sched.idle_below
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+def test_doubling_rows_from_n0_pass_the_bounds_check(factor):
+    # the rows a doubling schedule declares in the unit class start at n0,
+    # too wide to validate whole here; the cells sampled cover the hinges
+    # (the raw variant's counts are the same from n0 on)
+    params = DoublingParams(Fraction(3, 25))
+    sched = doubling_schedule(params)
+    assert sched.unit_from == doubling_raw_schedule(params).unit_from == params.n0
+    n = factor * params.n0
+    eps = params.eps
+    # beta's hinges at k/n = 1/9 and (1 - 6 eps)/2, alpha's at (1 - 2 eps)/2
+    hinges = [n // 9, int(n * (1 - 6 * eps) / 2), int(n * (1 - 2 * eps) / 2)]
+    for k in sorted({*range(0, n + 1, n // 16), *hinges, *(h + 1 for h in hinges), n - 1}):
+        b = binom(n, k)
+        ca, cb = sched.counts(n, k, b)
+        assert 0 <= ca <= cb <= b, (n, k)
+
+
 def test_continuous_float_eval_brackets_exact_values():
     # criterion 6's schedule; float-with-bound works from its (alpha, beta)
     # pairs, so the radius carries the count-rounding slack
