@@ -33,6 +33,13 @@ it. decide and the exhaustive oracle rank many words that share
 prefixes, so they keep the state at each checkpoint of the last word
 (rank_word) and start the next word from the deepest one it shares;
 simulate draws one word and keeps none.
+
+Binomials up to BINOM_CACHE_LIMIT come from numerics' cache. Above it, a
+level's total, a chunk's size and a walk's anchors come from the
+context's row memo: a few exact binomials of each row, under a bit
+budget, from which a nearby k is stepped in one multiply and one divide.
+So the level's total and its chunk's size, and runs whose weights at a
+large checkpoint lie close, share one factored binomial.
 """
 
 from __future__ import annotations
@@ -50,10 +57,12 @@ from .coins import CoinSource
 from .errors import InvalidParams, InvalidSchedule, Undecided
 from .numerics import (
     BINOM_CACHE_LIMIT,
+    _comb,
     bernstein_sums,
     binom,
     binom_row,
     ceil_frac_mul,
+    comb,
     floor_frac_mul,
     iv_add,
     iv_from_fraction,
@@ -235,7 +244,7 @@ class _LevelData:
         self._memo = {}
         self._bounds = {}
         if b is None:
-            b = binom(n, k)
+            b = ctx.binom(n, k)
         self._ca, self._cb = ctx.counts(n, k, b)
         self.bounded = b >> _W > 0
         sums = None
@@ -278,7 +287,7 @@ class _LevelData:
         d, k, ilo = self.d, self.k, self._ilo
         ta = tb = 0
         snapshots = self._snapshots = {}
-        for i, cval, ca, cb in self._terms(ilo, self._ihi + 1, math.comb(d, k - ilo)):
+        for i, cval, ca, cb in self._terms(ilo, self._ihi + 1, _comb(d, k - ilo)):
             if (i - ilo) % _SNAPSHOT_STRIDE == 0:
                 snapshots[i] = (tb - ta, cval)
             ta += cval * ca
@@ -348,14 +357,16 @@ class _LevelData:
 
         cval is binom(d, k - start), threaded along i. Only a count not yet
         memoized needs binom(m, i); misses come in runs, so it is stepped
-        from the previous miss, and it stays out of the binom cache.
+        from the previous miss. Like cval's first value, a binom(m, i) taken
+        afresh comes from numerics._comb, out of the binom cache: an exact
+        build visits whole rows, which the cache would pin.
         """
         ctx, m, d, k = self._ctx, self.m, self.d, self.k
         memo, last = ctx._counts_memo, None
         for i in range(start, stop):
             hit = memo.get((m, i))
             if hit is None:
-                bval = bval * (m - i + 1) // i if last == i - 1 else math.comb(m, i)
+                bval = bval * (m - i + 1) // i if last == i - 1 else _comb(m, i)
                 last = i
                 hit = ctx.counts(m, i, bval)
             yield i, cval, hit[0], hit[1]
@@ -397,10 +408,11 @@ class _LevelData:
         """
         ctx, m, d, k = self._ctx, self.m, self.d, self.k
         mode = min(max((k + 1) * (m + 1) // (self.n + 2), self._ilo), self._ihi)
-        # up to BINOM_CACHE_LIMIT a run reaching this level has often taken
-        # both binomials, as the last level's total or as chunk sizes
-        bm = binom(m, mode)
-        t0 = bm * binom(d, k - mode)
+        # a run reaching this level has often taken both binomials, as the
+        # last level's total or as chunk sizes: up to BINOM_CACHE_LIMIT they
+        # are cached, and above it the context's row memo steps from them
+        bm = ctx.binom(m, mode)
+        t0 = bm * ctx.binom(d, k - mode)
         one = 1 << _W
         row = ctx._ratios[m]
         ta_lo = tail = slack = 0
@@ -465,9 +477,10 @@ class _LevelData:
         # sum over k - i', which swaps m and d. Either way the walk moves
         # away from the mode. A run reaching this level has taken
         # binom(m, i) (the last level's total) and binom(d, k - i) (this
-        # chunk's size), so t(i) costs no new binomial up to BINOM_CACHE_LIMIT.
-        m, d, k = self.m, self.d, self.k
-        t = binom(m, i) * binom(d, k - i)
+        # chunk's size), so t(i) costs no new binomial up to BINOM_CACHE_LIMIT,
+        # and above it the context's row memo keeps both.
+        m, d, k, ctx = self.m, self.d, self.k, self._ctx
+        t = ctx.binom(m, i) * ctx.binom(d, k - i)
         if i - 1 > (k + 1) * (m + 1) // (self.n + 2):
             lo, err = _tail_bounds(m, d, k, i, t)
             return self.total - lo - err, err
@@ -531,6 +544,17 @@ def _tail_bounds(m: int, d: int, k: int, j: int, t: int) -> tuple[int, int]:
     return lo, hi - lo
 
 
+# RankContext.binom keeps at most _ROW_BITS bits of binomials for each row
+# above BINOM_CACHE_LIMIT, and at most _ROW_KEEP of them, as it searches a
+# row's keys on every call
+_ROW_BITS = 1 << 18
+_ROW_KEEP = 16
+# it steps a missed binom(n, k) from a kept binom(n, j) with |k - j| at most
+# _STEP_MAX, in one multiply and one divide; at 2**15 and 2**17, 128 steps
+# take 0.1-0.4 ms, under the factored binomial's 0.5-2 ms
+_STEP_MAX = 128
+
+
 # the rank state before the first checkpoint: (j, pos, ones, lo, err, width,
 # unread, head, pending), as _rank_run names them
 _START = (0, 0, 0, 0, 0, 1, (), 0, ())
@@ -539,17 +563,25 @@ _START = (0, 0, 0, 0, 0, 1, (), 0, ())
 class RankContext:
     """A schedule plus memo caches shared across runs.
 
-    It also keeps the last word that rank_word ranked and that word's
-    path: (checkpoint, rank state or decision) for each checkpoint it
-    passed, from which the next word resumes. A schedule owns one, its
-    rank_context, for every run; the memos depend on the schedule alone,
-    so no run sees what ran before. validate_schedule keeps a private
-    one, or validating to 2**14 would pin tens of MB on the schedule.
+    It memoizes the counts of rows up to BINOM_CACHE_LIMIT, each row's
+    weights count(m, i) / binom(m, i) in _W bits, the levels up to
+    BINOM_CACHE_LIMIT and, for each row above it, at most _ROW_KEEP exact
+    binomials of at most _ROW_BITS bits (32 KB) in all, the least
+    recently used dropped first (binom). It also keeps the last word that
+    rank_word ranked and that word's path: (checkpoint, rank state or
+    decision) for each checkpoint it passed, from which the next word
+    resumes. A schedule owns one, its rank_context, for every run; the
+    memos depend on the schedule alone, so no run sees what ran before.
+    validate_schedule keeps a private one, or validating to 2**14 would
+    pin tens of MB on the schedule.
     """
 
     def __init__(self, schedule: EnvelopeSchedule):
         self.schedule = schedule
         self._counts_memo: dict = {}
+        # {n: {k: binom(n, k)}} for rows above BINOM_CACHE_LIMIT, least
+        # recently used first
+        self._binoms: dict = defaultdict(dict)
         # {m: {i: (count_a / binom(m, i), (count_b - count_a) / binom(m, i))}}
         # in _W fractional bits rounded down, for every m: the values are small
         self._ratios: dict = defaultdict(dict)
@@ -566,6 +598,26 @@ class RankContext:
             if n <= BINOM_CACHE_LIMIT and not self.schedule.is_idle(n):
                 self._counts_memo[key] = hit
         return hit
+
+    def binom(self, n: int, k: int) -> int:
+        """binom(n, k); above BINOM_CACHE_LIMIT through the row memo."""
+        if n <= BINOM_CACHE_LIMIT or not 0 <= k <= n:
+            return binom(n, k)
+        row = self._binoms[n]
+        c = row.pop(k, None)
+        if c is None:
+            j = min(row, key=lambda j: abs(j - k), default=k + _STEP_MAX + 1)
+            if abs(j - k) > _STEP_MAX:
+                c = binom(n, k)
+            # binom(n, k) / binom(n, j) = j! (n - j)! / (k! (n - k)!)
+            elif j < k:
+                c = row[j] * math.perm(n - j, k - j) // math.perm(k, k - j)
+            else:
+                c = row[j] * math.perm(j, j - k) // math.perm(n - k, j - k)
+        row[k] = c
+        while len(row) > _ROW_KEEP or sum(v.bit_length() for v in row.values()) > _ROW_BITS:
+            del row[next(iter(row))]
+        return c
 
     def level_data(self, j: int, m: int, n: int, k: int) -> _LevelData:
         key = (j, k)
@@ -622,7 +674,9 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
         chunk = draw(n - pos)
         new_ones = ones + sum(chunk)
         data = ctx.level_data(j, pos, n, new_ones)
-        size = binom(n - pos, new_ones - ones)
+        # ctx.binom's own test, inlined: this runs at every checkpoint
+        d = n - pos
+        size = comb(d, new_ones - ones) if d <= BINOM_CACHE_LIMIT else ctx.binom(d, new_ones - ones)
         # r = prefix_weight + (r_prev - da_prev) * size + lexrank(chunk)
         if data.bounded:
             plo, perr = data.prefix_bounds(ones)

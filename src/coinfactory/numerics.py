@@ -14,24 +14,35 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 
+import numpy as np
+
 DYADIC_BITS = 64
 # rational_sin's precision: its error stays under 2**-SIN_BITS
 SIN_BITS = 128
 # largest n whose binomials are cached; above it a cache would pin megabit
-# integers in memory
+# integers for the life of the process, so C(n, k) there is computed on
+# every call (a RankContext keeps a few per row, under a bit budget)
 BINOM_CACHE_LIMIT = 1 << 14
 
 
-# C(n, k) with min(k, n - k) at least this and at least n / 8 is built from
-# its prime factorization; below either, math.comb is faster
-FACTOR_COMB_MIN = 2048
+# C(n, k) with min(k, n - k) at least this and at least n / FACTOR_COMB_RATIO
+# is built from its prime factorization; below either, math.comb is faster.
+# Measured over n = 2**11 .. 2**18 and k = n/64 .. n/2 (2 cores, Python
+# 3.11.7): the break-even min(k, n - k) grows about as sqrt(32 n), about
+# 1000 at 2**15 and 2000 at 2**17. The rule meets it there and takes the
+# slower path only near it, where the two differ by under 0.25 ms
+FACTOR_COMB_MIN = 1024
+FACTOR_COMB_RATIO = 64
 
 # _sieve[j] is 1 when j is prime, for j < len(_sieve); grown on demand
 _sieve = bytearray()
+# the primes above sqrt(n) are scanned this many sieve bytes at a time, so
+# the scan's arrays stay a few tens of KB whatever n is
+_SCAN_BLOCK = 1 << 15
 
 
-def _primes(lo: int, hi: int):
-    """The primes p with lo <= p <= hi, ascending."""
+def _sieve_to(hi: int) -> bytearray:
+    """The sieve, grown to cover hi."""
     global _sieve
     if len(_sieve) <= hi:
         size = max(hi + 1, 2 * len(_sieve))
@@ -41,14 +52,21 @@ def _primes(lo: int, hi: int):
             if sieve[p]:
                 sieve[p * p::p] = bytes(len(range(p * p, size, p)))
         _sieve = sieve
-    return compress(range(lo, hi + 1), memoryview(_sieve)[lo:hi + 1])
+    return _sieve
+
+
+def _primes(lo: int, hi: int):
+    """The primes p with lo <= p <= hi, ascending."""
+    return compress(range(lo, hi + 1), memoryview(_sieve_to(hi))[lo:hi + 1])
 
 
 def _factor_comb(n: int, k: int) -> int:
     """C(n, k) for 0 <= k <= n as a product tree of its prime powers.
 
     The exponent of p is sum_j floor(n/p^j) - floor(k/p^j) - floor((n-k)/p^j)
-    (Legendre); above sqrt(n) only j = 1 counts and the exponent is 0 or 1.
+    (Legendre); above sqrt(n) only j = 1 counts, and the exponent is 1
+    exactly when k mod p > n mod p, a carry in adding k and n - k in base p.
+    Those primes are tested in numpy, a block of a view of the sieve at a time.
     """
     r, nk = math.isqrt(n), n - k
     factors = []
@@ -59,7 +77,21 @@ def _factor_comb(n: int, k: int) -> int:
             e += a - b - c
         if e:
             factors.append(p ** e)
-    factors += [p for p in _primes(r + 1, n) if n // p - k // p - nk // p]
+    sieve = np.frombuffer(_sieve_to(n), np.uint8)
+    # g primes below n multiply within int64, so they join the tree g at a
+    # time. Arithmetic ufuncs only: a comparison, a boolean index or a
+    # reduction would each add over 100 KB to peak RSS on first use
+    g = 63 // n.bit_length()
+    for lo in range(r + 1, n + 1, _SCAN_BLOCK):
+        ps = np.flatnonzero(sieve[lo:min(lo + _SCAN_BLOCK, n + 1)])
+        ps += lo
+        # the sign bit of n mod p - k mod p marks the carry
+        ps = ps[np.flatnonzero((n % ps - k % ps) >> 63)]
+        whole = len(ps) - len(ps) % g
+        prods = ps[:whole:g]
+        for j in range(1, g):
+            prods = prods * ps[j:whole:g]
+        factors += prods.tolist() + ps[whole:].tolist()
     while len(factors) > 1:
         last = [factors.pop()] if len(factors) & 1 else []
         factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + last
@@ -67,10 +99,11 @@ def _factor_comb(n: int, k: int) -> int:
 
 
 def _comb(n: int, k: int) -> int:
+    """C(n, k), 0 outside 0 <= k <= n, uncached."""
     if k < 0 or k > n:
         return 0
     low = min(k, n - k)
-    if low >= FACTOR_COMB_MIN and 8 * low >= n:
+    if low >= FACTOR_COMB_MIN and FACTOR_COMB_RATIO * low >= n:
         return _factor_comb(n, k)
     return math.comb(n, k)
 

@@ -24,6 +24,7 @@ from coinfactory import (
     TapeSource,
     decide,
     doubling_raw_schedule,
+    doubling_schedule,
     dump_envelope_csv,
     envelope_eval,
     monomial_schedule,
@@ -37,9 +38,10 @@ from coinfactory import (
 )
 from coinfactory import engine
 from coinfactory.engine import EnvelopeSchedule, Violation, _LevelData
-from coinfactory.numerics import binom, comb
+from coinfactory.numerics import BINOM_CACHE_LIMIT, binom, comb
 from coinfactory.errors import InvalidSchedule, SourceExhausted, Undecided
 from coinfactory.schedules import MODE_LIPSCHITZ
+from coinfactory.verify import report_to_json
 
 from helpers import (all_words, brute_decide, brute_lexrank, exact_rank_run, materialize_sets,
                      word_unrank)
@@ -770,6 +772,71 @@ def test_binomials_above_the_cache_limit_stay_out_of_the_cache():
     idle = EnvelopeSchedule("idle", {}, lambda j: 1 << j, idle_below=1 << 20)
     assert idle.counts(n, n // 4) == (0, math.comb(n, n // 4))
     assert comb.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("row_bits", [engine._ROW_BITS, 1 << 16])
+def test_row_memo_steps_exactly_both_ways_and_keeps_to_its_budget(monkeypatch, row_bits):
+    # binom(2**15, k) is about 11,000 bits near k = 2048, so the default
+    # budget keeps _ROW_KEEP values and 2**16 bits four or five
+    monkeypatch.setattr(engine, "_ROW_BITS", row_bits)
+    ctx = monomial_schedule(2).rank_context
+    n = 1 << 15
+    row = ctx._binoms[n]
+    ks = random.Random(18).sample(range(1700, 2700), 300)
+    ways = {"up": 0, "down": 0, "fresh": 0}
+    for k in ks:
+        j = min(row, key=lambda j: abs(j - k), default=None)
+        way = "fresh" if j is None or abs(j - k) > engine._STEP_MAX else "up" if j < k else "down"
+        ways[way] += 1
+        assert ctx.binom(n, k) == math.comb(n, k)
+        assert next(reversed(row)) == k
+        assert len(row) <= engine._ROW_KEEP
+        assert sum(v.bit_length() for v in row.values()) <= row_bits
+    assert min(ways.values()) > 0
+    assert ctx.binom(n, -1) == ctx.binom(n, n + 1) == 0
+
+
+def test_doubler_runs_step_their_large_binomials_from_the_row_memo(monkeypatch):
+    # a run to n0 = 2**17 needs binomials of rows 2**15, 2**16 and 2**17,
+    # each level's total also as a chunk size or a walk's anchor: without
+    # the row memo, 9 factored binomials a run. The first run takes 4, and
+    # the next runs' k lie within _STEP_MAX of them
+    fresh = []
+    exact = engine.binom
+    monkeypatch.setattr(engine, "binom", lambda n, k: (n > BINOM_CACHE_LIMIT and fresh.append((n, k)))
+                        or exact(n, k))
+    sched = doubling_schedule(DoublingParams(Fraction(3, 25)))
+    per_run = []
+    for seed in (3, 4, 10):
+        simulate(sched, GeneratorSource(seed, Fraction(1, 10)))
+        per_run.append(len(fresh) - sum(per_run))
+    assert per_run == [4, 0, 0]
+
+
+# --- streams on large rows -----------------------------------------------------------
+# recorded before exact binomials of rows above BINOM_CACHE_LIMIT were factored
+# by a vectorised scan and memoized per row; they must never move
+
+
+def test_large_jump_report_is_pinned():
+    sched = smooth_schedule(lipschitz_params(Fraction(1, 250)))
+    assert sched.idle_below == 1 << 15
+    report = monte_carlo(sched, Fraction(3, 10), 4, 18, max_tosses=1 << 15, undecided="midpoint")
+    curve = [[1 << j, "1/1"] for j in range(15)] + [[1 << 15, "0/1"]]
+    assert report_to_json(report) == {
+        "plan_hash": "schedule-3fbadde32af950ba4df80121cc0b4c304cb43d3d1b4f4ccb8ed5277b49ee2fc8",
+        "p": "3/10", "runs": 4, "successes": 2, "undecided": 0, "estimate": "1/2",
+        "wilson_997": ["1258613377776887261/14987979559889010688",
+                       "13729366182112123427/14987979559889010688"],
+        "tosses": {"mean": "32768/1", "max": 32768, "q50": 32768, "q90": 32768, "q99": 32768},
+        "tail_curve": curve, "seed": 18,
+    }
+
+
+def test_doubler_runs_at_p_one_tenth_are_pinned():
+    sched = doubling_schedule(DoublingParams(Fraction(3, 25)))
+    outcomes = [simulate(sched, GeneratorSource(seed, Fraction(1, 10))) for seed in (3, 4, 10)]
+    assert [(o.bit, o.tosses) for o in outcomes] == [(0, 131072), (1, 131072), (1, 131072)]
 
 
 # --- validation ----------------------------------------------------------------

@@ -9,13 +9,14 @@ import math
 from fractions import Fraction
 
 import mpmath
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinfactory import numerics
 from coinfactory.numerics import (
     DYADIC_BITS,
     FACTOR_COMB_MIN,
+    FACTOR_COMB_RATIO,
     bernstein_coeffs,
     binom,
     ceil_frac_mul,
@@ -51,8 +52,10 @@ def test_binom_large_path():
 
 def test_factored_binomials_match_math_comb_across_the_crossover(monkeypatch):
     # min(k, n - k) crosses FACTOR_COMB_MIN at k = n/2 for n = 2X and at
-    # k = n/4 for n = 4X; the sieve starts empty and grows on the way to 2**17
-    x = FACTOR_COMB_MIN
+    # k = n/4 for n = 4X, and n / FACTOR_COMB_RATIO at k = n/64 for n = 2**17;
+    # the sieve starts empty and grows on the way to 2**17
+    x, ratio = FACTOR_COMB_MIN, FACTOR_COMB_RATIO
+    assert (x, ratio) == (1024, 64)
     factored = []
     exact = numerics._factor_comb
     monkeypatch.setattr(numerics, "_sieve", bytearray())
@@ -60,11 +63,28 @@ def test_factored_binomials_match_math_comb_across_the_crossover(monkeypatch):
     comb.cache_clear()
     sizes = [x - 1, x, 2 * x - 1, 2 * x, 4 * x - 1, 4 * x, 1 << 14, (1 << 14) + 1, 1 << 17]
     for n in sizes:
-        for k in (-1, 0, 1, n // 4, n // 2, n - 1, n, n + 1):
+        for k in (-1, 0, 1, n // ratio - 1, n // ratio, n // 4, n // 2, n - 1, n, n + 1):
             assert binom(n, k) == (math.comb(n, k) if 0 <= k <= n else 0)
     assert len(numerics._sieve) > 1 << 17
-    assert factored == [(2 * x, x), (4 * x - 1, 2 * x - 1), (4 * x, x), (4 * x, 2 * x)] + [
-        (n, k) for n in sizes[-3:] for k in (n // 4, n // 2)]
+    assert factored == [(2048, 1024), (4095, 2047), (4096, 1024), (4096, 2048),
+                        (16384, 4096), (16384, 8192), (16385, 4096), (16385, 8192),
+                        (131072, 2048), (131072, 32768), (131072, 65536)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_binomials_above_the_cache_limit_match_math_comb(data):
+    # k anywhere in the row, or within 64 of either crossover, where
+    # min(k, n - k) = max(FACTOR_COMB_MIN, n / FACTOR_COMB_RATIO)
+    n = data.draw(st.integers(min_value=(1 << 14) + 1, max_value=1 << 18))
+    edge = max(FACTOR_COMB_MIN, -(-n // FACTOR_COMB_RATIO))
+    k = data.draw(st.integers(min_value=-1, max_value=n + 1)
+                  | st.integers(min_value=edge - 64, max_value=edge + 64)
+                  | st.integers(min_value=n - edge - 64, max_value=n - edge + 64))
+    expected = math.comb(n, k) if 0 <= k <= n else 0
+    assert binom(n, k) == expected
+    if 0 <= k <= n:
+        assert numerics._factor_comb(n, k) == expected
 
 
 @given(st.fractions(min_value=-100, max_value=100), st.integers(min_value=1, max_value=10**6))
