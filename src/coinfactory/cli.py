@@ -24,7 +24,7 @@ from .combinators import (
     save_plan,
 )
 from .engine import EnvelopeSchedule, dump_envelope_csv, envelope_eval, validate_schedule
-from .errors import CoinFactoryError, CompileBlocked, ExprSyntaxError
+from .errors import CoinFactoryError, CompileBlocked, ExprSyntaxError, InvalidParams
 from .lang import Interval, compile_to_plan, parse
 from .schedules import corrupt_monomial_fixture
 from .verify import (
@@ -184,7 +184,11 @@ def cmd_envelope(args) -> int:
 
 def cmd_tails(args) -> int:
     with open(args.report, "r", encoding="ascii") as fh:
-        report = report_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise InvalidParams(f"not a report file: {args.report}") from e
+    report = report_from_json(doc)
     fit = tail_profile(report)
     print(f"rho_hat {float(fit.rho_hat):.6f} c_hat {float(fit.c_hat):.6f} "
           f"window {fit.window[0]}..{fit.window[1]} residual {float(fit.residual):.6g}")

@@ -729,7 +729,10 @@ def _node_from_json(d: dict) -> FactoryPlan:
 def load_plan(path) -> FactoryPlan:
     """Rebuild a saved plan through its constructors and check its hash."""
     with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise InvalidParams(f"not a plan file: {path}") from e
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise InvalidParams(f"not a plan file: {path}")
     plan = _node_from_json(doc.get("root"))

@@ -15,10 +15,12 @@ contributes the width of its binomial until its lexicographic rank is
 read. A rank is read, oldest chunk first (it carries the largest
 weight), only while the interval crosses a count; idle levels never read
 one. Every level whose binom(n, k) reaches 2**128 ranks on certified
-bounds from a 128-bit fixed-point walk of a few hundred terms: an idle
-level bounds its prefix weights, and a non-idle one in the unit class
+bounds from 128-bit fixed-point walks of a few hundred terms out from
+the terms' mode, all taken by one walk (_walk_out): an idle level bounds
+its prefix weights, and a non-idle one in the unit class
 (0 <= alpha <= beta <= 1 on the row it jumps from) also its carried mass,
-and so da and db. The exact sums are the fallback, built only when the
+and so da and db. The exact sums, one pass over the level's terms for
+idle and non-idle levels alike, are the fallback, built only when the
 bounds' error alone keeps the interval crossing a count once every rank
 is read, or when validate_schedule meets a consistency check that the
 bounds leave open. A run refuses a level whose bounds refute a check;
@@ -217,13 +219,16 @@ class _LevelData:
 
     Where binom(n, k) reaches 2**_W the level is bounded: runs and
     failed_checks work from (lo, err) bounds on its sums, and the exact
-    sums are built only when one is read. An idle level has ta = 0 and
-    total = binom(n, k) exactly and bounds each prefix weight by a term
-    walk from it (_walk_bounds). A non-idle level whose row m is in the
-    schedule's unit class bounds ta, total and every prefix weight by one
-    walk out from the mode (_walk_sums); da lies in [da_hi - ta_err,
-    da_hi] and db in [db_hi - ta_err, db_hi]. Every other level is summed
-    exactly when built, and its ta_err is 0.
+    sums are built only when one is read. Every bound comes from
+    _walk_out, a fixed-point walk of the terms away from their mode. An
+    idle level has ta = 0 and total = binom(n, k) exactly and bounds each
+    prefix weight by a walk from it (_walk_bounds). A non-idle level whose
+    row m is in the schedule's unit class bounds ta, total and every
+    prefix weight by one walk out from the mode on each side
+    (_walk_sums); da lies in [da_hi - ta_err, da_hi] and db in
+    [db_hi - ta_err, db_hi]. Every other non-idle level is summed exactly
+    when built, and its ta_err is 0. Exact sums and prefix weights, idle
+    or not, come from one pass over the terms (_build).
     """
 
     __slots__ = ("m", "n", "d", "k", "bounded", "da_hi", "db_hi", "ta_err", "_ta", "_total",
@@ -282,8 +287,9 @@ class _LevelData:
         return self._cb - self.ta
 
     def _build(self):
-        # the exact sums of a non-idle level, with the gap's running sum
-        # kept every _SNAPSHOT_STRIDE terms for prefix_weight
+        # the exact sums, with the gap's running sum kept every
+        # _SNAPSHOT_STRIDE terms for prefix_weight; an idle row's counts are
+        # (0, binom(m, i)), so an idle level's sums are 0 and binom(n, k)
         d, k, ilo = self.d, self.k, self._ilo
         ta = tb = 0
         snapshots = self._snapshots = {}
@@ -339,8 +345,6 @@ class _LevelData:
             return self.total
         if i in self._memo:
             return self._memo[i]
-        if self._idle:
-            return self._idle_prefix(i)
         if self._snapshots is None:
             self._build()
         base = ((i - self._ilo) // _SNAPSHOT_STRIDE) * _SNAPSHOT_STRIDE + self._ilo
@@ -375,10 +379,10 @@ class _LevelData:
     def prefix_bounds(self, i: int) -> tuple[int, int]:
         """(lo, err) with lo <= prefix_weight(i) <= lo + err.
 
-        A bounded idle level bounds the weight by a fixed-point term walk
-        from i (_walk_bounds); a bounded non-idle one reads it off the sums
-        of its walk (_walk_sums), past ihi too, where it bounds total.
-        Elsewhere, and once the exact weight is memoized, err is 0.
+        A bounded idle level bounds the weight by a term walk from i
+        (_walk_bounds); a bounded non-idle one reads it off the sums of its
+        walk (_walk_sums), past ihi too, where it bounds total. Elsewhere,
+        and once the exact weight is memoized, err is 0.
         """
         if self.bounded and self._ilo < i and i not in self._memo:
             if not self._idle:
@@ -394,17 +398,14 @@ class _LevelData:
     def _walk_sums(self) -> Optional[tuple[int, int]]:
         """(lo, err) bounding ta, from one walk over the terms of a non-idle level.
 
-        t(i) = binom(m, i) binom(d, k - i) is log-concave in i with mode
-        floor((k+1)(m+1)/(n+2)). The walk goes out from the mode on each
-        side, carrying t(i) relative to the exact t0 at the mode in _W
-        fractional bits, rounded down, and weights each term by
-        count(m, i) / binom(m, i), memoized on the context. Step ratios
-        are at most 1 away from the mode, so s steps out the carried term
-        is less than s ulps low. A side stops as _tail_bounds does, and in the
-        unit class the terms it skips have weights in [0, 1]. Keeps t0, the
-        gap's lower running sums (_cum, from i = _cum_at) and one error
-        bound for every prefix weight (_perr). Returns None, for the exact
-        sums, if a weight it visits lies outside [0, 1].
+        _walk_out carries each side's terms t(i) relative to the exact t0
+        at the mode, up to ihi and, mirrored, down to ilo, and each term is
+        weighted by count(m, i) / binom(m, i) in _W fractional bits, rounded
+        down and memoized on the context. In the unit class the terms a
+        side skips have weights in [0, 1]. Keeps t0, the gap's lower running
+        sums (_cum, from i = _cum_at) and one error bound for every prefix
+        weight (_perr). Returns None, for the exact sums, if a weight it
+        visits lies outside [0, 1].
         """
         ctx, m, d, k = self._ctx, self.m, self.d, self.k
         mode = min(max((k + 1) * (m + 1) // (self.n + 2), self._ilo), self._ihi)
@@ -417,22 +418,10 @@ class _LevelData:
         row = ctx._ratios[m]
         ta_lo = tail = slack = 0
         up, down = [], []
-        for gaps, step, edge in ((up, 1, self._ihi), (down, -1, self._ilo)):
+        for gaps, step, walk in ((up, 1, (m, d, k, mode)), (down, -1, (d, m, k, k - mode))):
             # the carried terms of this side, tls[s] at i = mode + step * s
-            tls = [one]
-            i, tl = mode, one
-            while i != edge:
-                if step > 0:
-                    num, den = (m - i) * (k - i), (i + 1) * (d - k + i + 1)
-                else:
-                    num, den = i * (d - k + i), (m - i + 1) * (k - i + 1)
-                # the stop rule of _tail_bounds, s = len(tls) - 1
-                if num < den and (tl == 0 or tl < den and (tl + len(tls) - 1) * num <= den - num):
-                    tail += -(-(tl + len(tls) - 1) * num // (den - num))
-                    break
-                tl = tl * num // den
-                i += step
-                tls.append(tl)
+            tls, side_tail = _walk_out(*walk)
+            tail += side_tail
             # the upper ends exceed the lower, s steps out, by at most
             # (tl + s)(w + 1) - tl w <= tl + (one + 1) s, w <= one, in
             # 2 * _W fractional bits
@@ -441,8 +430,8 @@ class _LevelData:
             # binom(m, i) at the last ratio missed, stepped to the next miss
             last, bval = mode, bm
             # the up side takes the mode's term, the down side starts past it
-            skip = 0 if step > 0 else 1
-            for i, tl in zip(range(mode + skip * step, i + step, step), tls[skip:]):
+            for s in range(step < 0, len(tls)):
+                i = mode + step * s
                 w = row.get(i)
                 if w is None:
                     if last == i - 1:
@@ -457,8 +446,8 @@ class _LevelData:
                 ra, rg = w
                 if ra < 0 or rg < 0 or ra + rg > one:
                     return None
-                ta_lo += tl * ra
-                gaps.append(tl * rg)
+                ta_lo += tls[s] * ra
+                gaps.append(tls[s] * rg)
         down.reverse()
         self._cum_at = mode - len(down)
         cum, total = [0], 0
@@ -471,77 +460,55 @@ class _LevelData:
         return (t0 * ta_lo) >> 2 * _W, -(-t0 * (slack + (tail << _W)) >> 2 * _W) + 1
 
     def _walk_bounds(self, i: int) -> tuple[int, int]:
-        # t(i') = binom(m, i') binom(d, k - i') is log-concave in i' with mode
-        # floor((k+1)(m+1)/(n+2)). Above the mode the prefix is total minus
-        # the tail from t(i); below it, the tail from t(i-1) of the mirrored
-        # sum over k - i', which swaps m and d. Either way the walk moves
-        # away from the mode. A run reaching this level has taken
-        # binom(m, i) (the last level's total) and binom(d, k - i) (this
-        # chunk's size), so t(i) costs no new binomial up to BINOM_CACHE_LIMIT,
-        # and above it the context's row memo keeps both.
+        # t(i') = binom(m, i') binom(d, k - i'). Above the mode the prefix
+        # is total minus the tail from t(i); below it, the tail from
+        # t(i-1) of the mirrored terms. Either way the walk moves away
+        # from the mode. A run reaching this level has taken binom(m, i)
+        # (the last level's total) and binom(d, k - i) (this chunk's size),
+        # so t(i) costs no new binomial up to BINOM_CACHE_LIMIT, and above
+        # it the context's row memo keeps both.
         m, d, k, ctx = self.m, self.d, self.k, self._ctx
         t = ctx.binom(m, i) * ctx.binom(d, k - i)
-        if i - 1 > (k + 1) * (m + 1) // (self.n + 2):
-            lo, err = _tail_bounds(m, d, k, i, t)
-            return self.total - lo - err, err
-        t = t * (i * (d - k + i)) // ((m - i + 1) * (k - i + 1))
-        return _tail_bounds(d, m, k, k - i + 1, t)
-
-    def _idle_prefix(self, i: int) -> int:
-        # the exact weight, which a run takes only where prefix_bounds does
-        # not bound it or leaves its interval crossing a count:
-        # sum_{i' < i} t(i'), t(i') = binom(m, i') binom(d, k - i'), streamed
-        # by the term ratio t(i'+1) / t(i') = (m - i')(k - i') /
-        # ((i'+1)(d - k + i'+1)), one big-by-small multiply and one exact
-        # small divide per term. The walk starts at the nearer end of
-        # [ilo, ihi]; from the far end the prefix is total - tail,
-        # total = binom(n, k) by Vandermonde.
-        m, d, k = self.m, self.d, self.k
-        ilo, ihi = self._ilo, self._ihi
-        if i - ilo <= ihi + 1 - i:
-            cum = 0
-            t = binom(d, k) if ilo == 0 else binom(m, ilo)
-            for ip in range(ilo, i):
-                cum += t
-                t = t * ((m - ip) * (k - ip)) // ((ip + 1) * (d - k + ip + 1))
+        above = i - 1 > (k + 1) * (m + 1) // (self.n + 2)
+        if above:
+            terms, tail = _walk_out(m, d, k, i)
         else:
-            tail = 0
-            t = binom(m, k) if ihi == k else binom(d, k - m)
-            for ip in range(ihi, i - 1, -1):
-                tail += t
-                t = t * (ip * (d - k + ip)) // ((m - ip + 1) * (k - ip + 1))
-            cum = self.total - tail
-        self._memo[i] = cum
-        return cum
+            t = t * (i * (d - k + i)) // ((m - i + 1) * (k - i + 1))
+            terms, tail = _walk_out(d, m, k, k - i + 1)
+        # terms[s] is less than s ulps low, so their sum under s(s - 1)/2 ulps
+        s = len(terms)
+        lo = sum(terms)
+        lo, hi = (t * lo) >> _W, -((-t * (lo + s * (s - 1) // 2 + tail)) >> _W)
+        return (self.total - hi if above else lo), hi - lo
 
 
-def _tail_bounds(m: int, d: int, k: int, j: int, t: int) -> tuple[int, int]:
-    """(lo, err) with lo <= sum_{j' >= j} binom(m, j') binom(d, k - j') <= lo + err.
+def _walk_out(m: int, d: int, k: int, j: int) -> tuple[list[int], int]:
+    """(terms, tail): t(j + s) / t(j) for s = 0, 1, ... in _W fractional bits.
 
-    t is the exact term at j, at or past the terms' mode, so the step
-    ratios num/den are at most 1 and only fall. Terms relative to t are
-    carried in _W fractional bits, rounded down, so s steps on a term is
-    less than s ulps low, and the terms left past a term sl sum to at
-    most (sl + s) r / (1 - r), r = num/den. The walk stops once that is
-    at most one ulp (for which sl < den is needed, and a cheap first
-    test), or once sl is 0: past that point each further term's rounding
-    costs more than the term adds. The geometric bound closes the upper
-    side.
+    t(i) = binom(m, i) binom(d, k - i) is log-concave in i with mode
+    floor((k+1)(m+1)/(n+2)), n = m + d. j is at or past it, so the step
+    ratios num/den are at most 1 and only fall. Swapping m and d mirrors
+    the terms, t(i) = binom(d, k - i) binom(m, i), so _walk_out(d, m, k,
+    k - j) walks them down from j. Each term is carried rounded down, so
+    terms[s] is less than s ulps low. The walk stops at min(m, k), past
+    which every term is 0, or where the terms left past the last one, tl,
+    sum to at most (tl + s) r / (1 - r), r = num/den: once that is at
+    most one ulp (for which tl < den is needed, and a cheap first test),
+    or once tl is 0, since past that point each further term's rounding
+    costs more than the term adds. tail is that geometric bound, rounded
+    up, in _W bits.
     """
-    lo = sl = 1 << _W
-    s = steps = 0
-    while True:
+    tl = 1 << _W
+    terms = [tl]
+    end = min(m, k)
+    while j < end:
         num, den = (m - j) * (k - j), (j + 1) * (d - k + j + 1)
-        if num < den and (sl == 0 or sl < den and (sl + s) * num <= den - num):
-            hi = lo + steps + -(-(sl + s) * num // (den - num))
-            break
+        if num < den and (tl == 0 or tl < den and (tl + len(terms) - 1) * num <= den - num):
+            return terms, -(-(tl + len(terms) - 1) * num // (den - num))
+        tl = tl * num // den
         j += 1
-        s += 1
-        sl = sl * num // den
-        lo += sl
-        steps += s
-    lo, hi = (t * lo) >> _W, -((-t * hi) >> _W)
-    return lo, hi - lo
+        terms.append(tl)
+    return terms, 0
 
 
 # RankContext.binom keeps at most _ROW_BITS bits of binomials for each row

@@ -413,22 +413,25 @@ def save_report(report: SimulationReport, path) -> None:
 
 
 def report_from_json(doc: dict) -> SimulationReport:
-    lo, hi = doc["wilson_997"]
-    t = doc["tosses"]
-    return SimulationReport(
-        plan_hash=doc["plan_hash"],
-        p=Fraction(doc["p"]),
-        runs=doc["runs"],
-        successes=doc["successes"],
-        undecided=doc.get("undecided", 0),
-        estimate=Fraction(doc["estimate"]),
-        wilson_lo=Fraction(lo),
-        wilson_hi=Fraction(hi),
-        toss_mean=Fraction(t["mean"]),
-        toss_max=t["max"],
-        toss_q50=t["q50"],
-        toss_q90=t["q90"],
-        toss_q99=t["q99"],
-        tail_curve=tuple((n, Fraction(v)) for n, v in doc["tail_curve"]),
-        seed=doc["seed"],
-    )
+    try:
+        lo, hi = doc["wilson_997"]
+        t = doc["tosses"]
+        return SimulationReport(
+            plan_hash=doc["plan_hash"],
+            p=Fraction(doc["p"]),
+            runs=doc["runs"],
+            successes=doc["successes"],
+            undecided=doc.get("undecided", 0),
+            estimate=Fraction(doc["estimate"]),
+            wilson_lo=Fraction(lo),
+            wilson_hi=Fraction(hi),
+            toss_mean=Fraction(t["mean"]),
+            toss_max=t["max"],
+            toss_q50=t["q50"],
+            toss_q90=t["q90"],
+            toss_q99=t["q99"],
+            tail_curve=tuple((n, Fraction(v)) for n, v in doc["tail_curve"]),
+            seed=doc["seed"],
+        )
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise InvalidParams(f"malformed report: {e!r}") from e

@@ -225,6 +225,32 @@ def test_tails_fits_saved_report(tmp_path, capsys):
     assert "window" in text and "residual" in text
 
 
+@pytest.mark.parametrize("content", [b"{not json", b'{"format": "caf\xe9"}', b"[1, 2]"],
+                         ids=["not_json", "not_ascii", "not_an_object"])
+def test_a_malformed_plan_file_is_one_error_line(tmp_path, content, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    rc, text = run(["verify", "--plan", str(path), "--depth", "2", "--p", "1/3"], capsys)
+    assert rc == 3
+    assert text.splitlines() == [f"error: not a plan file: {path}"]
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"{not json", "not a report file"),
+    (b'{"runs": "caf\xe9"}', "not a report file"),
+    (b"{}", "malformed report: KeyError('wilson_997')"),
+    (b"[1, 2]", "malformed report: TypeError"),
+    (b'{"wilson_997": ["1/0", "1"], "tosses": {}}', "malformed report: KeyError('plan_hash')"),
+], ids=["not_json", "not_ascii", "empty_object", "not_an_object", "missing_field"])
+def test_a_malformed_report_file_is_one_error_line(tmp_path, content, message, capsys):
+    path = tmp_path / "bad-report.json"
+    path.write_bytes(content)
+    rc, text = run(["tails", "--report", str(path)], capsys)
+    assert rc == 3
+    assert len(text.splitlines()) == 1
+    assert text.startswith(f"error: {message}")
+
+
 def test_unknown_target_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "--target", "mystery:1", "--depth", "4", "--p", "1/3"])

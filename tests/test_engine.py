@@ -331,17 +331,18 @@ def test_a_crossing_interval_reads_the_long_chunks(monkeypatch, side):
 
 
 def _counting_exact_prefixes(monkeypatch):
-    # the exact prefix weights taken on levels that rank on prefix bounds;
-    # a level that is not bounded is summed exactly from the start
+    # the exact sums, from which every exact prefix weight is read, built
+    # on levels that rank on prefix bounds; a level that is not bounded is
+    # summed exactly when a weight is first read
     calls = []
-    exact = _LevelData._idle_prefix
+    build = _LevelData._build
 
-    def counted(self, i):
+    def counted(self):
         if self.bounded:
-            calls.append((self.n, i))
-        return exact(self, i)
+            calls.append((self.n, self.k))
+        return build(self)
 
-    monkeypatch.setattr(_LevelData, "_idle_prefix", counted)
+    monkeypatch.setattr(_LevelData, "_build", counted)
     return calls
 
 
@@ -697,17 +698,23 @@ def test_envelope_eval_rejects_bad_arguments():
     lambda n: st.tuples(st.just(n), st.integers(0, n), st.integers(0, n))))
 def test_idle_prefix_matches_direct_vandermonde_sum(nmk):
     n, m, k = nmk
-    # idle at every length, so the jump m -> n streams its prefix sums
+    # idle at every length, so the jump m -> n sums an idle row's counts
     idle = EnvelopeSchedule("idle", {}, lambda j: 1 << j, None, idle_below=1 << 20)
-    level = _LevelData(RankContext(idle), m, n, k)
+    ctx = RankContext(idle)
+    level = _LevelData(ctx, m, n, k)
     ilo, ihi = max(0, k - (n - m)), min(m, k)
-    # i runs from below ilo to past ihi + 1, so both walk directions
-    # (from ilo, and from ihi against the total) and both edges are hit
+    # i runs from below ilo to past ihi + 1, so both edges are hit, and
+    # the weights come from the exact build's snapshots, on a fresh level
+    # for each i, and from the level's memo
     direct = 0
     for i in range(ilo - 1, ihi + 3):
-        assert level._idle_prefix(i) == direct
+        assert _LevelData(ctx, m, n, k).prefix_weight(i) == direct
         assert level.prefix_weight(i) == direct
         direct += comb(m, i) * comb(n - m, k - i)
+    # the build's own sums are the idle ones: no carried mass, and the
+    # Vandermonde total
+    level._build()
+    assert (level._ta, level._total) == (0, comb(n, k))
 
 
 _IDLE = EnvelopeSchedule("idle", {}, lambda j: 1 << j, None, idle_below=1 << 20)
@@ -728,7 +735,7 @@ def test_prefix_bounds_bracket_the_exact_idle_prefix(m, d, data):
     bounds = [level.prefix_bounds(i) for i in points]
     for i, (lo, err) in zip(points, bounds):
         assert 0 <= err
-        assert lo <= _LevelData(ctx, m, n, k)._idle_prefix(i) <= lo + err
+        assert lo <= _LevelData(ctx, m, n, k).prefix_weight(i) <= lo + err
 
 
 def test_prefix_bounds_at_the_large_jump_are_tight():
@@ -739,7 +746,71 @@ def test_prefix_bounds_at_the_large_jump_are_tight():
     for i in (mode - 50, mode, mode + 1, mode + 50):
         lo, err = level.prefix_bounds(i)
         assert 0 < err and err << 100 < lo
-        assert lo <= level._idle_prefix(i) <= lo + err
+        assert lo <= level.prefix_weight(i) <= lo + err
+
+
+def _random_unit_schedule(seed):
+    # checkpoints at arbitrary lengths up to 300 and, at every cell, some
+    # 0 <= alpha <= beta <= 1: the consistency checks fail, but the bounds
+    # must hold whatever the counts
+    rng = random.Random(seed)
+    points = sorted(rng.sample(range(2, 301), 8))
+
+    def ab(n, k):
+        cell = random.Random(seed * 1_000_003 + n * 1009 + k)
+        return tuple(sorted(Fraction(cell.randrange(1001), 1000) for _ in range(2)))
+
+    return EnvelopeSchedule("random", {}, lambda j: points[j] if j < len(points) else None,
+                            ab_fn=ab)
+
+
+def _check_level_bounds(level):
+    # on the bounds alone first: an exact weight memoized on the level
+    # would stand in for them
+    points = range(level._ilo, level._ihi + 2)
+    bounds = [level.prefix_bounds(i) for i in points]
+    for i, (lo, err) in zip(points, bounds):
+        assert 0 <= err
+        assert lo <= level.prefix_weight(i) <= lo + err
+    assert level.da_hi - level.ta_err <= level.da <= level.da_hi
+    return len(bounds)
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_walk_bounds_stay_sound_at_the_row_ends(monkeypatch, width):
+    # with _W this low, walks on rows of at most 300 reach min(m, k) and,
+    # mirrored, max(0, k - d), where the terms stop
+    monkeypatch.setattr(engine, "_W", width)
+    walk_out = engine._walk_out
+    ends = []
+
+    def counted(m, d, k, j):
+        terms, tail = walk_out(m, d, k, j)
+        ends.append(j + len(terms) - 1 == min(m, k))
+        return terms, tail
+
+    monkeypatch.setattr(engine, "_walk_out", counted)
+    idle_points = 0
+    for m, n in ((1, 300), (64, 128), (100, 300), (128, 256), (200, 300), (299, 300)):
+        ctx = RankContext(_IDLE)
+        for k in range(n + 1):
+            level = _LevelData(ctx, m, n, k)
+            if level.bounded:
+                idle_points += _check_level_bounds(level)
+    assert idle_points > 10_000 and any(ends) and not all(ends)
+    ends.clear()
+    walked = 0
+    for schedule in (smooth_schedule(lipschitz_params(Fraction(1, 4))), monomial_schedule(2),
+                     monomial_schedule(3), _random_unit_schedule(5)):
+        ctx = RankContext(schedule)
+        points = [0] + schedule.checkpoints_upto(300)
+        for m, n in zip(points, points[1:]):
+            for k in range(n + 1):
+                level = _LevelData(ctx, m, n, k)
+                if level.bounded and not level._idle:
+                    _check_level_bounds(level)
+                    walked += 1
+    assert walked > 1000 and any(ends) and not all(ends)
 
 
 # --- count rounding and binomials ------------------------------------------------
