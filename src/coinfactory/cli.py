@@ -186,7 +186,7 @@ def cmd_tails(args) -> int:
     with open(args.report, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise InvalidParams(f"not a report file: {args.report}") from e
     report = report_from_json(doc)
     fit = tail_profile(report)

@@ -70,8 +70,8 @@ class FactoryPlan:
     """One node of a plan tree.
 
     data holds the node's exact parameters as sorted (name, value) pairs;
-    _cache holds derived executors and digit tables and never takes part
-    in equality, hashing, or serialization.
+    _cache holds derived executors and integer parameters and never takes
+    part in equality, hashing, or serialization.
     """
 
     kind: str
@@ -122,43 +122,18 @@ def identity_plan(domain: PlanBounds = UNIVERSAL) -> FactoryPlan:
     return FactoryPlan("identity", domain, PlanBounds(domain.lo, domain.hi, "propagated"))
 
 
-def _binary_digits(c: Fraction) -> tuple[list[int], list[int]]:
-    """Binary expansion of c in [0,1] as (prefix, repeating cycle).
-
-    Long division by 2 with remainder cycle detection; every rational
-    expansion is eventually periodic so this terminates.
-    """
-    num, den = c.numerator, c.denominator
-    seen: dict[int, int] = {}
-    digits: list[int] = []
-    r = num
-    while True:
-        if r in seen:
-            start = seen[r]
-            return digits[:start], digits[start:]
-        seen[r] = len(digits)
-        r *= 2
-        if r >= den:
-            digits.append(1)
-            r -= den
-        else:
-            digits.append(0)
-        if r == 0:
-            return digits, [0]
-
-
 def constant_plan(c, domain: PlanBounds = UNIVERSAL) -> FactoryPlan:
     """Coin of exactly bias c from fair bits.
 
-    Fair bits come from von Neumann pairs; the index of the first fair 1
-    is geometric(1/2), and emitting the digit of c at that index lands on
-    bias sum(c_m 2**-m) = c.
+    Fair bits come from von Neumann pairs; the index m of the first fair 1
+    is geometric(1/2), and emitting binary digit m of c, the only one a
+    run computes, lands on bias sum(c_m 2**-m) = c.
     """
     c = Fraction(c)
     if not 0 <= c <= 1:
         raise InvalidParams("constant must lie in [0, 1]")
     plan = FactoryPlan("const", domain, PlanBounds(c, c, "propagated"), data=(("c", c),))
-    plan._cache["digits"] = _binary_digits(c)
+    plan._cache["ratio"] = (c.numerator, c.denominator)
     return plan
 
 
@@ -731,7 +706,7 @@ def load_plan(path) -> FactoryPlan:
     with open(path, "r", encoding="ascii") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
             raise InvalidParams(f"not a plan file: {path}") from e
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
         raise InvalidParams(f"not a plan file: {path}")
@@ -762,13 +737,13 @@ class _Kind:
 
 
 def _run_const(plan: FactoryPlan, source: CoinSource) -> int:
-    prefix, cycle = plan._cache["digits"]
-    idx = 0
+    num, den = plan._cache["ratio"]
+    m = 1
     while _von_neumann(source) == 0:
-        idx += 1
-    if idx < len(prefix):
-        return prefix[idx]
-    return cycle[(idx - len(prefix)) % len(cycle)]
+        m += 1
+    if num == den:
+        return 1  # c = 1 is read as 0.111...
+    return (num << m) // den & 1
 
 
 def _run_double(plan: FactoryPlan, source: CoinSource) -> int:

@@ -723,7 +723,7 @@ def rank_word(ctx: RankContext, word: bytes) -> tuple[Decision, int]:
 
 
 def decide(ctx: RankContext, word: Sequence[int]) -> Decision:
-    """Classify a word whose length is a checkpoint.
+    """Classify a word of 0s and 1s whose length is a checkpoint.
 
     A word extending an already-decided prefix inherits that decision.
     Successive words on one ctx share the rank state of their common
@@ -731,6 +731,8 @@ def decide(ctx: RankContext, word: Sequence[int]) -> Decision:
     in order costs about one chunk per word.
     """
     word = bytes(list(word))
+    if word.translate(None, b"\x00\x01"):
+        raise ValueError("word bits must be 0 or 1")
     decision, pos = rank_word(ctx, word)
     if decision is _CONTINUE and (pos == 0 or pos < len(word)):
         raise ValueError(f"word length {len(word)} is not a checkpoint")

@@ -30,6 +30,13 @@ def test_compile_without_out_prints_hash(capsys):
     assert text.startswith("compiled hash ")
 
 
+def test_compile_a_constant_with_a_long_binary_period(capsys):
+    # 1/3**16 repeats its binary digits every 2 * 3**15 places
+    rc, text = run(["compile", "1/43046721", "--domain", "1/10:2/5"], capsys)
+    assert rc == 0
+    assert text.startswith("compiled hash ")
+
+
 def test_compile_reports_bound_errors(capsys):
     rc, text = run(["compile", "p + p", "--domain", "1/10:1/2"], capsys)
     assert rc == 2
@@ -225,8 +232,9 @@ def test_tails_fits_saved_report(tmp_path, capsys):
     assert "window" in text and "residual" in text
 
 
-@pytest.mark.parametrize("content", [b"{not json", b'{"format": "caf\xe9"}', b"[1, 2]"],
-                         ids=["not_json", "not_ascii", "not_an_object"])
+@pytest.mark.parametrize("content", [b"{not json", b'{"format": "caf\xe9"}', b"[1, 2]",
+                                     b"[" * 3000 + b"]" * 3000],
+                         ids=["not_json", "not_ascii", "not_an_object", "nested_too_deep"])
 def test_a_malformed_plan_file_is_one_error_line(tmp_path, content, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
@@ -241,7 +249,9 @@ def test_a_malformed_plan_file_is_one_error_line(tmp_path, content, capsys):
     (b"{}", "malformed report: KeyError('wilson_997')"),
     (b"[1, 2]", "malformed report: TypeError"),
     (b'{"wilson_997": ["1/0", "1"], "tosses": {}}', "malformed report: KeyError('plan_hash')"),
-], ids=["not_json", "not_ascii", "empty_object", "not_an_object", "missing_field"])
+    (b'{"runs": ' * 3000 + b"0" + b"}" * 3000, "not a report file"),
+], ids=["not_json", "not_ascii", "empty_object", "not_an_object", "missing_field",
+        "nested_too_deep"])
 def test_a_malformed_report_file_is_one_error_line(tmp_path, content, message, capsys):
     path = tmp_path / "bad-report.json"
     path.write_bytes(content)

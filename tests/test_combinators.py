@@ -5,6 +5,7 @@ exact; execution checks run against tapes or the exhaustive oracle so they
 stay deterministic.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import pytest
 from coinfactory import (
     CallbackCoeffs,
     ConstantCoeffs,
+    GeneratorSource,
     Interval,
     MODE_LIPSCHITZ,
     SmoothnessParams,
@@ -217,6 +219,37 @@ def test_constant_plan_oracle_bracket_shrinks():
     assert a4 <= Fraction(1, 3) <= a4 + u4
     assert a8 <= Fraction(1, 3) <= a8 + u8
     assert u8 < u4
+
+
+def test_constant_with_a_long_binary_period_builds_and_brackets():
+    # 2 has order 2 * 3**15 mod 3**16: a run reads one digit, not the period
+    c = Fraction(1, 3**16)
+    accept, undecided = oracle_enumerate(constant_plan(c), 12, Fraction(1, 2))
+    assert accept <= c <= accept + undecided
+
+
+def test_series_level_coins_with_long_periods_run():
+    # level N's coin (1/27) * (103/108)**N has odd denominator part 3**(3N+3)
+    core = series_plan(ConstantCoeffs(Fraction(1, 27)), Fraction(103, 108), Fraction(1, 100),
+                       child=constant_plan(Fraction(1, 2)), backend=("approx", 64)).children[0]
+    report = monte_carlo(core, Fraction(1, 2), 40, 5)
+    assert report.runs == 40
+    assert report.wilson_lo <= core.range_iv.lo <= report.wilson_hi
+    assert max(core._cache["level_coins"]) > 100
+
+
+def test_constant_coin_outcomes_are_frozen():
+    # seeded (bit, tosses) of every run, recorded while each constant coin
+    # still read its digit from a precomputed binary expansion
+    blob = hashlib.sha256()
+    for c in ["0", "1", "1/2", "1/3", "3/8", "5/7", "999/1000", "12345/65536", "1/6561"]:
+        plan = constant_plan(Fraction(c))
+        for seed in range(8):
+            source = GeneratorSource(seed, Fraction(3, 10))
+            for _ in range(50):
+                out = run_plan(plan, source)
+                blob.update(f"{c}:{out.bit}:{out.tosses};".encode("ascii"))
+    assert blob.hexdigest() == "f2a2e3ab73713588461ef46197ea6105e7776c6757de61be47bfb11f57d8f4f6"
 
 
 def test_product_oracle_is_exact_monomial():

@@ -174,6 +174,15 @@ def test_decide_reads_array_words_by_element():
         decide(shared, 5)
 
 
+@pytest.mark.parametrize("word", [[2, 0], [0, 2, 1, 1], b"1011",
+                                  np.array([1, 0, 0, 255])],
+                         ids=["two_first", "two_inside", "ascii_digits", "byte_255"])
+def test_decide_refuses_words_that_are_not_bits(word):
+    # ranked as bytes, a 2 would sort above every 0/1 word and decide One
+    with pytest.raises(ValueError, match="word bits must be 0 or 1"):
+        decide(RankContext(monomial_schedule(2)), word)
+
+
 @pytest.mark.parametrize("make", [lambda: smooth_schedule(lipschitz_params()),
                                   lambda: monomial_schedule(2)], ids=["lipschitz", "monomial_2"])
 def test_a_shared_context_decides_interleaved_lengths_as_fresh_contexts(make):
