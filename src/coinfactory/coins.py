@@ -15,7 +15,8 @@ and tosses_consumed are the same either way.
 
 Monte Carlo seeds its replicas' generators through _replica_seeds, which
 hashes a chunk of seeds in one vectorised pass to the words numpy's own
-seeding would give, so every stream is the one PCG64(seed) gives.
+seeding would give, so every stream is the one PCG64(seed) gives; below
+_SEED_BATCH_FROM replicas it hands PCG64 the int seeds.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ _BLOCK_CAP = 4096
 _SHORT_DRAW = 128
 # Replica seeds are mixed and hashed this many at a time.
 _SEED_CHUNK = 1024
+# Fewer replicas than this are seeded by numpy's own hash, one seed at a
+# time: the batched pass has a fixed cost of about 130 us, and numpy takes
+# about 18 us a seed (2 cores, Python 3.11.7)
+_SEED_BATCH_FROM = 8
 
 
 def _splitmix64(state: int) -> int:
@@ -133,7 +138,12 @@ class _Seeded:
 
 
 def _replica_seeds(seed: int, runs: int):
-    """_Seeded(mix_seed(seed, i)) for i < runs, hashed a chunk at a time."""
+    """_Seeded(mix_seed(seed, i)) for i < runs, hashed a chunk at a time;
+    below _SEED_BATCH_FROM runs, the int keys mix_seed(seed, i), which
+    seed the same streams."""
+    if runs < _SEED_BATCH_FROM:
+        yield from (mix_seed(seed, i) for i in range(runs))
+        return
     np.random.bit_generator.ISeedSequence.register(_Seeded)
     for start in range(0, runs, _SEED_CHUNK):
         keys = mix_seed(seed, np.arange(start, min(start + _SEED_CHUNK, runs), dtype=np.uint64))
@@ -303,7 +313,10 @@ class GeneratorSource(CoinSource):
             if self._pos > start:
                 u = np.concatenate((np.array(words[start:self._pos], dtype=np.uint64), u))
             bits = (u < np.uint64(q)).view(np.uint8)
-            boundary = () if self._exact else np.nonzero(u == np.uint64(q))[0].tolist()
+            # a word equals q with probability 2**-64, so the equality mask
+            # is searched as bytes, and its indices listed only on a hit
+            eq = b"" if self._exact else (u == np.uint64(q)).tobytes()
+            boundary = [i for i, e in enumerate(eq) if e] if 1 in eq else ()
         else:
             # as next_bit does: the buffered words, then at most one refill
             if stop > len(words):

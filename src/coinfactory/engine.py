@@ -13,19 +13,19 @@ counts. So it carries the rank as an integer interval: bounds on the
 prefix weights are added as each level is reached, and each chunk
 contributes the width of its binomial until its lexicographic rank is
 read. A rank is read, oldest chunk first (it carries the largest
-weight), only while the interval crosses a count; idle levels never read
-one. Every level whose binom(n, k) reaches 2**128 ranks on certified
-bounds from 128-bit fixed-point walks of a few hundred terms out from
-the terms' mode, all taken by one walk (_walk_out): an idle level bounds
-its prefix weights, and a non-idle one in the unit class
-(0 <= alpha <= beta <= 1 on the row it jumps from) also its carried mass,
-and so da and db. The exact sums, one pass over the level's terms for
-idle and non-idle levels alike, are the fallback, built only when the
-bounds' error alone keeps the interval crossing a count once every rank
-is read, or when validate_schedule meets a consistency check that the
-bounds leave open. A run refuses a level whose bounds refute a check;
-one they leave open it takes on the exact sums if it builds them, and
-passes otherwise.
+weight), only while the interval crosses a count; idle levels, where
+every word continues, never read one. Every level whose binom(n, k)
+reaches 2**128 ranks on certified bounds from 128-bit fixed-point walks
+of a few hundred terms out from the terms' mode, all taken by one walk
+(_walk_out): an idle level bounds its prefix weights, and a non-idle one
+in the unit class (0 <= alpha <= beta <= 1 on the row it jumps from)
+also its carried mass, and so da and db. The exact sums, one pass over
+the level's terms for idle and non-idle levels alike, are the fallback,
+built only when the bounds' error alone keeps the interval crossing a
+count once every rank is read, or when validate_schedule meets a
+consistency check that the bounds leave open. A run refuses a level
+whose bounds refute a check; one they leave open it takes on the exact
+sums if it builds them, and passes otherwise.
 
 The counts and level sums a run memoizes depend on the schedule alone,
 so each schedule owns one RankContext that all its runs share, and only
@@ -34,7 +34,12 @@ rank state after a checkpoint is a function of the word's prefix up to
 it. decide and the exhaustive oracle rank many words that share
 prefixes, so they keep the state at each checkpoint of the last word
 (rank_word) and start the next word from the deepest one it shares;
-simulate draws one word and keeps none.
+simulate draws one word and keeps none. Where a schedule's idle prefix
+ends at 132 bits or later (_JUMP_FROM), simulate does not rank it: it
+draws through the idle checkpoints counting ones, and at the first active
+one bounds the rank by the block of words that share the prefix's weight.
+Only a run whose block crosses a count replays its chunks through the
+rank loop (_jump_idle).
 
 Binomials up to BINOM_CACHE_LIMIT come from numerics' cache. Above it, a
 level's total, a chunk's size and a walk's anchors come from the
@@ -205,6 +210,13 @@ def word_lexrank(word: Sequence[int]) -> int:
 _SNAPSHOT_STRIDE = 16
 # fractional bits of the fixed-point term walks that bound a level's sums
 _W = 128
+# simulate jumps an idle prefix (_jump_idle) only where its last checkpoint
+# m has binom(m, m // 2) >= 2**_W, m >= 132. Below that, the ranks and walks
+# it would skip are cheap, and its rank interval, binom(m, i) words wide,
+# is too wide beside the gaps between da and db to decide most runs
+_JUMP_FROM = 1
+while not math.comb(_JUMP_FROM, _JUMP_FROM // 2) >> _W:
+    _JUMP_FROM += 1
 
 
 class _LevelData:
@@ -389,13 +401,14 @@ class _LevelData:
             yield i, cval, ca, cval * (cb - ca)
             cval = cval * (k - i) // (d - k + i + 1)
 
-    def prefix_bounds(self, i: int) -> tuple[int, int]:
+    def prefix_bounds(self, i: int, t: Optional[int] = None) -> tuple[int, int]:
         """(lo, err) with lo <= prefix_weight(i) <= lo + err.
 
         A bounded idle level bounds the weight by a term walk from i
-        (_walk_bounds); a bounded non-idle one reads it off the sums of its
-        walk (_walk_sums), past ihi too, where it bounds total. Elsewhere,
-        and once the exact weight is memoized, err is 0.
+        (_walk_bounds), which takes t = binom(m, i) binom(d, k - i) if
+        given; a bounded non-idle one reads it off the sums of its walk
+        (_walk_sums), past ihi too, where it bounds total. Elsewhere, and
+        once the exact weight is memoized, err is 0.
         """
         if self.bounded and self._ilo < i and i not in self._memo:
             if not self._idle:
@@ -404,7 +417,7 @@ class _LevelData:
             if i <= self._ihi:
                 hit = self._bounds.get(i)
                 if hit is None:
-                    hit = self._bounds[i] = self._walk_bounds(i)
+                    hit = self._bounds[i] = self._walk_bounds(i, t)
                 return hit
         return self.prefix_weight(i), 0
 
@@ -472,7 +485,7 @@ class _LevelData:
         self._perr = -(-t0 * (1 + (-(-slack >> _W)) + tail) >> _W) + 1
         return (t0 * ta_lo) >> 2 * _W, -(-t0 * (slack + (tail << _W)) >> 2 * _W) + 1
 
-    def _walk_bounds(self, i: int) -> tuple[int, int]:
+    def _walk_bounds(self, i: int, t: Optional[int] = None) -> tuple[int, int]:
         # t(i') = binom(m, i') binom(d, k - i'). Above the mode the prefix
         # is total minus the tail from t(i); below it, the tail from
         # t(i-1) of the mirrored terms. Either way the walk moves away
@@ -481,7 +494,8 @@ class _LevelData:
         # so t(i) costs no new binomial up to BINOM_CACHE_LIMIT, and above
         # it the context's row memo keeps both.
         m, d, k, ctx = self.m, self.d, self.k, self._ctx
-        t = ctx.binom(m, i) * ctx.binom(d, k - i)
+        if t is None:
+            t = ctx.binom(m, i) * ctx.binom(d, k - i)
         above = i - 1 > (k + 1) * (m + 1) // (self.n + 2)
         if above:
             terms, tail = _walk_out(m, d, k, i)
@@ -568,6 +582,10 @@ class RankContext:
         self._levels: dict = {}
         self._word = b""
         self._path: list = [(0, _START)]
+        # the idle checkpoints that simulate draws through, if the last is
+        # at least _JUMP_FROM, and None otherwise
+        idle = schedule.checkpoints_upto(schedule.idle_below - 1)
+        self._idle_points = idle if idle and idle[-1] >= _JUMP_FROM else None
 
     def counts(self, n: int, k: int, b: Optional[int] = None) -> tuple[int, int]:
         key = (n, k)
@@ -757,6 +775,44 @@ def decide(ctx: RankContext, word: Sequence[int]) -> Decision:
     return decision
 
 
+def _jump_idle(ctx: RankContext, draw: Callable[[int], Sequence[int]],
+               limit: float) -> tuple[Decision, int]:
+    """_rank_run from _START, on a schedule whose idle checkpoints are
+    ctx._idle_points: the same draws, decision and length ranked.
+
+    Every rank continues at an idle level, so the run only draws the idle
+    chunks and counts their ones. All binom(m, i) words of weight i at the
+    last idle checkpoint m survive, so at the next checkpoint n, at weight
+    k, the rank lies in [P(i), P(i) + t), t = binom(m, i) binom(n - m, k - i)
+    and P(i) = prefix_weight(i). If that interval lies below da or at or
+    above db, the run decides there; otherwise _rank_run replays the drawn
+    chunks and draws on.
+    """
+    chunks = []
+    pos = ones = 0
+    for n in ctx._idle_points:
+        if n > limit:
+            return _CONTINUE, pos
+        chunks.append(draw(n - pos))
+        ones += chunks[-1].count(1)
+        pos = n
+    j = len(chunks)
+    n = ctx.schedule.checkpoint(j)
+    if n is None or n > limit:
+        return _CONTINUE, pos
+    chunks.append(draw(n - pos))
+    k = ones + chunks[-1].count(1)
+    data = ctx.level_data(j, pos, n, k)
+    t = ctx.binom(pos, ones) * ctx.binom(n - pos, k - ones)
+    lo, err = data.prefix_bounds(ones, t)
+    if lo + err + t <= data.da_hi - data.ta_err:
+        return _ONE, n
+    if lo >= data.db_hi:
+        return _ZERO, n
+    chunks.reverse()
+    return _rank_run(ctx, lambda count: chunks.pop() if chunks else draw(count), limit)
+
+
 def simulate(
     schedule: EnvelopeSchedule,
     source: CoinSource,
@@ -768,11 +824,15 @@ def simulate(
     Intermediate lengths never decide. Raises Undecided when max_tosses
     would be exceeded or a finite schedule runs out of checkpoints. Runs
     on schedule.rank_context, whose memo serves every later run. Chunks
-    come from source.draw_chunk.
+    come from source.draw_chunk. Where the schedule's idle prefix ends at
+    _JUMP_FROM or later, the run only draws through it and ranks from the
+    first checkpoint that can decide (_jump_idle); it draws the same bits
+    and takes the same decision as the rank loop.
     """
+    ctx = schedule.rank_context
+    run = _rank_run if ctx._idle_points is None else _jump_idle
     start = source.tosses_consumed
-    decision, _ = _rank_run(schedule.rank_context, source.draw_chunk,
-                            math.inf if max_tosses is None else max_tosses)
+    decision, _ = run(ctx, source.draw_chunk, math.inf if max_tosses is None else max_tosses)
     tosses = source.tosses_consumed - start
     if decision is _ONE:
         return OutcomeRecord(1, tosses)

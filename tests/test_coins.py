@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from coinfactory import CoinSource, GeneratorSource, TapeSource, load_tape, mix_seed, save_tape
-from coinfactory.coins import _SEED_CHUNK, _SHORT_DRAW, _replica_seeds, _seed_words
+from coinfactory import CoinSource, GeneratorSource, TapeSource, coins, load_tape, mix_seed, save_tape
+from coinfactory.coins import (_SEED_BATCH_FROM, _SEED_CHUNK, _SHORT_DRAW, _replica_seeds,
+                               _seed_words)
 from coinfactory.combinators import PlanSource, constant_plan, identity_plan
 from coinfactory.errors import SourceExhausted
 
@@ -350,3 +351,18 @@ def test_replica_seeds_build_the_single_seed_stream(seed):
         assert batched.draw_bits(40) == single.draw_bits(40)
         # the boundary refiner and forks are keyed by the int seed alone
         assert batched.fork_independent(3).draw_bits(40) == single.fork_independent(3).draw_bits(40)
+
+
+@pytest.mark.parametrize("runs", range(1, 10))
+def test_few_replica_seeds_give_the_batched_words(monkeypatch, runs):
+    # below _SEED_BATCH_FROM runs the keys are the ints mix_seed(seed, i),
+    # which numpy hashes one at a time
+    few = list(_replica_seeds(2**64 - 3, runs))
+    assert all(key.__class__ is int for key in few) is (runs < _SEED_BATCH_FROM)
+    monkeypatch.setattr(coins, "_SEED_BATCH_FROM", 1)
+    batched = list(_replica_seeds(2**64 - 3, runs))
+    assert len(few) == len(batched) == runs
+    for a, b in zip(few, batched):
+        a, b = GeneratorSource(a, Fraction(2, 7)), GeneratorSource(b, Fraction(2, 7))
+        assert a.seed == b.seed
+        assert a._bitgen.random_raw(16).tolist() == b._bitgen.random_raw(16).tolist()

@@ -405,6 +405,20 @@ def test_large_jump_replica_takes_no_exact_prefix(monkeypatch):
     assert calls == []
 
 
+def test_a_large_jump_replica_decided_on_its_jump_walks_once(monkeypatch):
+    # the replica draws through the idle prefix and bounds its rank at
+    # 2**15 by that level's one prefix walk, without entering the rank loop
+    walks, runs = [], []
+    walk, rank_run = _LevelData._walk_bounds, engine._rank_run
+    monkeypatch.setattr(_LevelData, "_walk_bounds", lambda self, *a: walks.append(self.n)
+                        or walk(self, *a))
+    monkeypatch.setattr(engine, "_rank_run", lambda *a: runs.append(1) or rank_run(*a))
+    sched = smooth_schedule(lipschitz_params(Fraction(1, 250)))
+    out = simulate(sched, GeneratorSource(4, Fraction(3, 10)), max_tosses=sched.idle_below)
+    assert (out.bit, out.tosses) == (1, 1 << 15)
+    assert walks == [1 << 15] and runs == []
+
+
 @lru_cache(maxsize=None)
 def _bounded_jump_schedule():
     # idle below 2**12: the jump 2**11 -> 2**12 ranks on prefix bounds
@@ -445,6 +459,69 @@ def test_lazy_rank_loop_equals_the_exact_loop_past_a_bounded_jump(k, at_db, offs
     # a fresh context, so no exact prefix weight is memoized for the run
     assert _outcome(engine._rank_run, RankContext(schedule), word, 4096) == \
         _outcome(exact_rank_run, exact_ctx, word, 4096)
+
+
+@lru_cache(maxsize=None)
+def _idle_jump_schedules(name):
+    # Lipschitz 1/100, idle below 2**12, whose jump to 2**12 simulate takes
+    # from the last idle checkpoint 2**11; "planted" refuses two in three
+    # weights of 2**12 on the bounds of that jump, lower (alpha < 0) or
+    # upper (beta > 1). The second context is the rank loop's
+    schedule = smooth_schedule(lipschitz_params(Fraction(1, 100)))
+    if name == "planted":
+        base, n0 = schedule, schedule.idle_below
+
+        def ab(n, k):
+            a, b = base.ab_values(n, k)
+            if n == n0 and k % 3 < 2:
+                return (a - 1, b) if k % 3 else (a, b + 1)
+            return a, b
+
+        schedule = EnvelopeSchedule("planted", {}, base.checkpoint, ab_fn=ab, idle_below=n0)
+    assert schedule.rank_context._idle_points == [1 << j for j in range(12)]
+    return schedule, RankContext(schedule)
+
+
+def _simulated(schedule, word, cap):
+    try:
+        out = simulate(schedule, TapeSource(word), max_tosses=cap)
+        return out.bit, out.tosses
+    except Undecided as u:
+        return None, u.tosses
+    except (InvalidSchedule, SourceExhausted) as e:
+        return type(e).__name__, str(e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["clean", "planted"]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=8192)),
+       st.integers(min_value=1024, max_value=3072), st.booleans(),
+       st.integers(min_value=-2, max_value=2))
+def test_simulate_jumps_an_idle_prefix_as_the_rank_loop_ranks_it(name, seed, cap, k, at_db,
+                                                                 offset):
+    # tapes that end before, at and past the first active checkpoint
+    # 2**12, under caps and on a level refused at 2**12; and one word whose
+    # rank at 2**12 lies a step or two from da or db, so the jump's
+    # interval crosses it and the run replays its chunks in the rank loop
+    schedule, ctx = _idle_jump_schedules(name)
+    rng = random.Random(seed)
+    words = []
+    for _ in range(20):
+        p = rng.choice([0.1, 0.3, 0.5, 0.9])
+        length = rng.choice([rng.randrange(4096), 4096, rng.randrange(4097, 8193), 8192])
+        words.append([int(rng.random() < p) for _ in range(length)])
+    _, exact_ctx = _bounded_jump_schedule()
+    level = exact_ctx.level_data(12, 2048, 4096, k)
+    word = list(_unrank(exact_ctx, 4096, k, (level.db if at_db else level.da) + offset))
+    words.append(word + [int(rng.random() < 0.5) for _ in range(rng.randrange(4097))])
+    for word in words:
+        ranked = _outcome(engine._rank_run, ctx, word, cap)
+        if ranked[0] in (Decision.OutputOne, Decision.OutputZero):
+            ranked = int(ranked[0] is Decision.OutputOne), ranked[1]
+        elif ranked[0] is Decision.Continue:
+            ranked = None, ranked[1]
+        assert _simulated(schedule, word, cap) == ranked
 
 
 @lru_cache(maxsize=None)
@@ -880,10 +957,11 @@ def test_row_memo_steps_exactly_both_ways_and_keeps_to_its_budget(monkeypatch, r
 
 
 def test_doubler_runs_step_their_large_binomials_from_the_row_memo(monkeypatch):
-    # a run to n0 = 2**17 needs binomials of rows 2**15, 2**16 and 2**17,
-    # each level's total also as a chunk size or a walk's anchor: without
-    # the row memo, 9 factored binomials a run. The first run takes 4, and
-    # the next runs' k lie within _STEP_MAX of them
+    # a run draws through the idle prefix and ranks first at n0 = 2**17,
+    # on binom(2**16, i) and binom(2**16, k - i), whose product bounds its
+    # rank and anchors the prefix walk, and the level's total binom(2**17, k).
+    # The first run takes these 3, and the next runs' k lie within
+    # _STEP_MAX of them
     fresh = []
     exact = engine.binom
     monkeypatch.setattr(engine, "binom", lambda n, k: (n > BINOM_CACHE_LIMIT and fresh.append((n, k)))
@@ -893,7 +971,7 @@ def test_doubler_runs_step_their_large_binomials_from_the_row_memo(monkeypatch):
     for seed in (3, 4, 10):
         simulate(sched, GeneratorSource(seed, Fraction(1, 10)))
         per_run.append(len(fresh) - sum(per_run))
-    assert per_run == [4, 0, 0]
+    assert per_run == [3, 0, 0]
 
 
 # --- streams on large rows -----------------------------------------------------------
