@@ -15,8 +15,11 @@ and tosses_consumed are the same either way.
 
 Monte Carlo seeds its replicas' generators through _replica_seeds, which
 hashes a chunk of seeds in one vectorised pass to the words numpy's own
-seeding would give, so every stream is the one PCG64(seed) gives; below
-_SEED_BATCH_FROM replicas it hands PCG64 the int seeds.
+seeding would give, and from those computes each stream's first _HEAD raw
+words in a second pass, so every stream is the one PCG64(seed) gives; below
+_SEED_BATCH_FROM replicas it hands PCG64 the int seeds. A source seeded so
+serves its head first and builds its numpy generator only for a run that
+reads past it; numpy.random loads at the first generator built.
 """
 
 from __future__ import annotations
@@ -43,9 +46,14 @@ _SHORT_DRAW = 128
 # Replica seeds are mixed and hashed this many at a time.
 _SEED_CHUNK = 1024
 # Fewer replicas than this are seeded by numpy's own hash, one seed at a
-# time: the batched pass has a fixed cost of about 130 us, and numpy takes
-# about 18 us a seed (2 cores, Python 3.11.7)
-_SEED_BATCH_FROM = 8
+# time: the batched passes (seed words, then stream heads) have a fixed
+# cost of about 290 us, and then save about 19 us a seed, the cost of
+# building PCG64 from an int and drawing its first block (2 cores, Python
+# 3.11.7)
+_SEED_BATCH_FROM = 16
+# A batched replica's source is handed this many first raw words of its
+# stream: the first block that a refill would draw
+_HEAD = _BLOCK_START
 
 
 def _splitmix64(state: int) -> int:
@@ -121,16 +129,83 @@ def _seed_words(seeds) -> np.ndarray:
     return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
 
 
-class _Seeded:
-    """A seed with its SeedSequence state words already computed.
+# --- batched stream heads ---------------------------------------------------------
+# PCG64 (O'Neill's PCG XSL-RR 128/64) steps a 128-bit LCG, s' = M s + c mod
+# 2**128, and outputs each new state's high half xor its low half, rotated
+# right by its top 6 bits. It seeds from the four words w: c = 2 (w2 w3) + 1
+# and, from s = 0, s = c then s = (s + (w0 w1)) M + c. So raw word t comes
+# from M**(t+2) (c + (w0 w1)) + (1 + M + ... + M**(t+1)) c: two products by
+# constants, tabled here for t < _HEAD as columns of 64-bit halves.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-    _replica_seeds registers it as a numpy ISeedSequence, so PCG64 takes
-    it as a seed sequence; numpy.random still loads at the first source.
+
+def _halves(values):
+    """128-bit values as two uint64 columns: the high halves and the low."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64)[:, None],
+            np.array([v & _MASK64 for v in values], dtype=np.uint64)[:, None])
+
+
+_LCG_POWERS = _halves([pow(_PCG_MULT, t + 2, 1 << 128) for t in range(_HEAD)])
+_LCG_SUMS = _halves([sum(pow(_PCG_MULT, i, 1 << 128) for i in range(t + 2)) % (1 << 128)
+                     for t in range(_HEAD)])
+
+
+def _mul128(hi, lo, constant):
+    """(hi, lo) * C mod 2**128 for each C of a constant column, in 64-bit halves.
+
+    uint64 products wrap, so only the high half of lo * C_lo needs 32-bit limbs.
+    """
+    c_hi, c_lo = constant
+    a1, a0, c1, c0 = lo >> 32, lo & 0xFFFFFFFF, c_lo >> 32, c_lo & 0xFFFFFFFF
+    p01, p10 = a0 * c1, a1 * c0
+    mid = (a0 * c0 >> 32) + (p01 & 0xFFFFFFFF) + (p10 & 0xFFFFFFFF)
+    carry = a1 * c1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return hi * c_lo + lo * c_hi + carry, lo * c_lo
+
+
+def _carry(a, b, total):
+    """The carry out of total = a + b mod 2**64, as 0 or 1, from bit operations.
+
+    A comparison or a negation would load numpy loops that nothing else a
+    short run needs, which read about 0.13 MB of resident memory each on
+    first use.
+    """
+    return (a & b | (a | b) & ~total) >> 63
+
+
+def _stream_heads(words: np.ndarray) -> np.ndarray:
+    """PCG64(ss).random_raw(_HEAD) for each row of words, ss's state words
+    (_seed_words' rows).
+
+    Row i of the result is row i's head. Each array of the pass holds
+    _HEAD x len(words) words.
+    """
+    w0, w1, w2, w3 = words.T
+    c_hi, c_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    lo = c_lo + w1
+    s_hi, s_lo = _mul128(c_hi + w0 + _carry(c_lo, w1, lo), lo, _LCG_POWERS)
+    t_hi, t_lo = _mul128(c_hi, c_lo, _LCG_SUMS)
+    lo = s_lo + t_lo
+    hi = s_hi + t_hi + _carry(s_lo, t_lo, lo)
+    mixed, rot = hi ^ lo, hi >> 58
+    return (mixed >> rot | mixed << ((64 - rot) & 63)).T
+
+
+class _Seeded:
+    """A seed with its SeedSequence state words and its stream's first _HEAD
+    raw words, both computed in a batch.
+
+    A GeneratorSource takes the head as its first buffer. It hands this
+    object to PCG64 as a seed sequence, registered as a numpy ISeedSequence
+    when the first such generator is built, so numpy.random loads there.
     """
 
-    def __init__(self, seed: int, words: np.ndarray):
+    __slots__ = ("seed", "words", "head")
+
+    def __init__(self, seed: int, words: np.ndarray, head: np.ndarray):
         self.seed = seed
         self.words = words
+        self.head = head
 
     def generate_state(self, n_words, dtype=np.uint32):
         # PCG64 is the only consumer: it asks for 4 uint64 words
@@ -144,11 +219,11 @@ def _replica_seeds(seed: int, runs: int):
     if runs < _SEED_BATCH_FROM:
         yield from (mix_seed(seed, i) for i in range(runs))
         return
-    np.random.bit_generator.ISeedSequence.register(_Seeded)
     for start in range(0, runs, _SEED_CHUNK):
         keys = mix_seed(seed, np.arange(start, min(start + _SEED_CHUNK, runs), dtype=np.uint64))
-        for key, words in zip(keys.tolist(), _seed_words(keys)):
-            yield _Seeded(key, words)
+        words = _seed_words(keys)
+        for key, row, head in zip(keys.tolist(), words, _stream_heads(words)):
+            yield _Seeded(key, row, head)
 
 
 class CoinSource:
@@ -241,8 +316,12 @@ class GeneratorSource(CoinSource):
     first use. Both methods take these bits in toss order.
 
     seed is an int, or a _Seeded from _replica_seeds that carries the int
-    with its SeedSequence words; self.seed is the int and the stream is
-    PCG64(seed)'s either way.
+    with its SeedSequence words and the stream's first _HEAD raw words;
+    self.seed is the int and the stream is PCG64(seed)'s either way. An int
+    seed builds the generator at once. A _Seeded source starts with its
+    head as the buffer, as an int-seeded one stands after its first
+    refill, and builds PCG64 from the words, advanced past the head, at
+    its first refill, so a run that reads no further builds none.
     """
 
     kind = "seeded-generator"
@@ -253,21 +332,35 @@ class GeneratorSource(CoinSource):
         num, den = bias.numerator, bias.denominator
         if not 0 < num < den:
             raise ValueError("bias must lie strictly between 0 and 1")
-        if isinstance(seed, _Seeded):
-            # monte_carlo's replicas: the seed's words were hashed in a batch
+        if seed.__class__ is _Seeded:
+            # monte_carlo's replicas: the seed's words and head were
+            # computed in a batch
             self.seed = seed.seed
+            self._bitgen = None
+            self._key = seed
+            self._words: list[int] = seed.head.tolist()
+            self._block = 2 * _BLOCK_START
         else:
-            self.seed = seed = int(seed) & _MASK64
+            self.seed = int(seed) & _MASK64
+            self._bitgen = np.random.PCG64(self.seed)
+            self._words = []
+            self._block = _BLOCK_START
         self.bias = bias
         self.tosses_consumed = 0
-        self._bitgen = np.random.PCG64(seed)
         self._refiner = None
-        self._words: list[int] = []
         self._pos = 0
-        self._block = _BLOCK_START
         # heads iff u < q, ambiguous (extend) iff u == q and 2**64 p not integer
         self._q, rest = divmod(num << 64, den)
         self._exact = rest == 0
+
+    def _raw(self, count: int) -> np.ndarray:
+        """The next count raw words of the stream, past those buffered so far."""
+        if self._bitgen is None:
+            # the first refill of a _Seeded source: its head is drawn
+            np.random.bit_generator.ISeedSequence.register(_Seeded)
+            self._bitgen = np.random.PCG64(self._key)
+            self._bitgen.advance(_HEAD)
+        return self._bitgen.random_raw(count)
 
     def _resolve_boundary(self) -> int:
         # u landed exactly on the truncated expansion: refine bit by bit
@@ -287,7 +380,7 @@ class GeneratorSource(CoinSource):
     def next_bit(self) -> int:
         i = self._pos
         if i == len(self._words):
-            self._words = self._bitgen.random_raw(self._block).tolist()
+            self._words = self._raw(self._block).tolist()
             self._block = min(2 * self._block, _BLOCK_CAP)
             i = 0
         self._pos = i + 1
@@ -309,7 +402,7 @@ class GeneratorSource(CoinSource):
         if count > _SHORT_DRAW or stop - len(words) > self._block:
             # the buffered words, and any rest in one numpy draw
             self._pos = min(stop, len(words))
-            u = self._bitgen.random_raw(stop - self._pos)
+            u = self._raw(stop - self._pos)
             if self._pos > start:
                 u = np.concatenate((np.array(words[start:self._pos], dtype=np.uint64), u))
             bits = (u < np.uint64(q)).view(np.uint8)
@@ -321,7 +414,7 @@ class GeneratorSource(CoinSource):
             # as next_bit does: the buffered words, then at most one refill
             if stop > len(words):
                 u = words[start:]
-                words = self._words = self._bitgen.random_raw(self._block).tolist()
+                words = self._words = self._raw(self._block).tolist()
                 self._block = min(2 * self._block, _BLOCK_CAP)
                 stop = count - len(u)
                 u += words[:stop]

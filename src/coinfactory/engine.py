@@ -559,15 +559,15 @@ class RankContext:
 
     It memoizes the counts of rows up to BINOM_CACHE_LIMIT, each row's
     weights count(m, i) / binom(m, i) in _W bits, the levels up to
-    BINOM_CACHE_LIMIT and, for each row above it, at most _ROW_KEEP exact
-    binomials of at most _ROW_BITS bits (32 KB) in all, the least
-    recently used dropped first (binom). It also keeps the last word that
-    rank_word ranked and that word's path: (checkpoint, rank state or
-    decision) for each checkpoint it passed, from which the next word
-    resumes. A schedule owns one, its rank_context, for every run; the
-    memos depend on the schedule alone, so no run sees what ran before.
-    validate_schedule keeps a private one, or validating to 2**14 would
-    pin tens of MB on the schedule.
+    BINOM_CACHE_LIMIT and the last one built above it, and, for each row
+    above it, at most _ROW_KEEP exact binomials of at most _ROW_BITS bits
+    (32 KB) in all, the least recently used dropped first (binom). It
+    also keeps the last word that rank_word ranked and that word's path:
+    (checkpoint, rank state or decision) for each checkpoint it passed,
+    from which the next word resumes. A schedule owns one, its
+    rank_context, for every run; the memos depend on the schedule alone,
+    so no run sees what ran before. validate_schedule keeps a private one,
+    or validating to 2**14 would pin tens of MB on the schedule.
     """
 
     def __init__(self, schedule: EnvelopeSchedule):
@@ -580,6 +580,8 @@ class RankContext:
         # in _W fractional bits rounded down, for every m: the values are small
         self._ratios: dict = defaultdict(dict)
         self._levels: dict = {}
+        # the key of the one level above BINOM_CACHE_LIMIT in _levels
+        self._large_level = None
         self._word = b""
         self._path: list = [(0, _START)]
         # the idle checkpoints that simulate draws through, if the last is
@@ -629,8 +631,12 @@ class RankContext:
             # exact sums (settled_d), and validate_schedule always does
             for _, _, _, message in hit.failed_checks(settle=False):
                 raise InvalidSchedule(n, k, message)
-            if n <= BINOM_CACHE_LIMIT:
-                self._levels[key] = hit
+            if n > BINOM_CACHE_LIMIT:
+                # only the last level above the limit is kept: a run that
+                # _jump_idle replays reads its first active level again
+                self._levels.pop(self._large_level, None)
+                self._large_level = key
+            self._levels[key] = hit
         return hit
 
 

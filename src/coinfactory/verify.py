@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -300,10 +301,7 @@ def monte_carlo(target: Target, p, runs: int, seed: int, *,
             b *= 2
     else:
         pts = sorted(set(int(x) for x in tail_points))
-    curve = []
-    for n in pts:
-        over = sum(1 for t in tosses if t > n)
-        curve.append((n, Fraction(over, runs)))
+    curve = [(n, Fraction(runs - bisect_right(ordered, n), runs)) for n in pts]
     return SimulationReport(
         plan_hash=_target_hash(target),
         p=p,

@@ -8,8 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from coinfactory import CoinSource, GeneratorSource, TapeSource, coins, load_tape, mix_seed, save_tape
-from coinfactory.coins import (_SEED_BATCH_FROM, _SEED_CHUNK, _SHORT_DRAW, _replica_seeds,
-                               _seed_words)
+from coinfactory.coins import (_HEAD, _SEED_BATCH_FROM, _SEED_CHUNK, _SHORT_DRAW, _replica_seeds,
+                               _seed_words, _Seeded, _stream_heads)
 from coinfactory.combinators import PlanSource, constant_plan, identity_plan
 from coinfactory.errors import SourceExhausted
 
@@ -365,4 +365,67 @@ def test_few_replica_seeds_give_the_batched_words(monkeypatch, runs):
     for a, b in zip(few, batched):
         a, b = GeneratorSource(a, Fraction(2, 7)), GeneratorSource(b, Fraction(2, 7))
         assert a.seed == b.seed
-        assert a._bitgen.random_raw(16).tolist() == b._bitgen.random_raw(16).tolist()
+        # the first 16 raw words: a batched source's head, then the generator
+        # its first refill builds; an int-seeded source's buffer is empty
+        a16, b16 = (src._words + src._raw(16 - len(src._words)).tolist() for src in (a, b))
+        assert a16 == b16
+
+
+@pytest.mark.parametrize("runs", [_SEED_BATCH_FROM - 1, _SEED_BATCH_FROM])
+def test_replica_seeds_are_batched_from_the_threshold(runs):
+    keys = list(_replica_seeds(7, runs))
+    assert all(key.__class__ is int for key in keys) is (runs < _SEED_BATCH_FROM)
+    assert [getattr(key, "seed", key) for key in keys] == [mix_seed(7, i) for i in range(runs)]
+
+
+# --- stream heads -----------------------------------------------------------------------
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=40))
+@example([0, 2**32 - 1, 2**32, 2**64 - 1])
+def test_stream_heads_match_numpy_pcg64(keys):
+    heads = _stream_heads(_seed_words(np.array(keys, dtype=np.uint64)))
+    assert heads.shape == (len(keys), _HEAD)
+    for key, head in zip(keys, heads):
+        assert head.tolist() == np.random.PCG64(key).random_raw(_HEAD).tolist()
+
+
+def _headed(seed, bias):
+    """A source keyed seed as _replica_seeds keys a batched replica: with its head."""
+    words = _seed_words(np.array([seed], dtype=np.uint64))
+    return GeneratorSource(_Seeded(seed, words[0], _stream_heads(words)[0]), bias)
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), biases,
+       st.lists(st.tuples(st.integers(min_value=-300, max_value=12), st.booleans()), max_size=25))
+@example(2**64 - 1, Fraction(2, 7), [(3, False), (-10, False), (-200, True), (2, True)])
+@example(0, Fraction(1, 3), [(-129, True), (-5, False), (-1000, True)])
+def test_a_headed_source_reads_its_int_seeded_twins_stream(seed, bias, plan):
+    headed, twin = _headed(seed, bias), GeneratorSource(seed, bias)
+    # the head is the block an int-seeded source draws at its first refill,
+    # so after one toss each holds the same buffer
+    assert headed.next_bit() == twin.next_bit()
+    assert _buffer_state(headed) == _buffer_state(twin)
+    _chunk_and_list_draws([headed, twin], plan)
+    assert headed.draw_bits(300) == twin.draw_bits(300)
+    assert _buffer_state(headed) == _buffer_state(twin)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 2024])
+def test_a_boundary_word_in_the_head_is_refined_in_toss_order(seed):
+    # as in test_short_draws_and_next_bit_read_one_stream_through_a_boundary_word,
+    # q is raw word 5, inside the head, and 2**64 bias is not an integer
+    raw = np.random.PCG64(seed).random_raw(_HEAD).tolist()
+    bias = Fraction(2 * raw[5] + 1, 2 ** 65)
+    per_bit = GeneratorSource(seed, bias)
+    expected = [per_bit.next_bit() for _ in range(400)]
+    assert expected[5] == _refined_bits(seed, bias, 1)[0]
+    # > 0: next_bit calls; <= 0: one draw
+    for plan in ([400], [5, 1, -394], [-3, -4, -393], [2, -10, 1, -387], [-200, -200]):
+        headed = _headed(seed, bias)
+        got = []
+        for c in plan:
+            got += [headed.next_bit() for _ in range(c)] if c > 0 else headed.draw_bits(-c)
+            assert headed.tosses_consumed == len(got)
+        assert got == expected
+        assert headed._refiner is not None

@@ -419,6 +419,24 @@ def test_a_large_jump_replica_decided_on_its_jump_walks_once(monkeypatch):
     assert walks == [1 << 15] and runs == []
 
 
+def test_a_replaying_large_jump_replica_builds_its_first_active_level_once(monkeypatch):
+    # seed 38's jump interval at 2**15 crosses a count, so the run replays
+    # its chunks in the rank loop, which takes the level the jump built,
+    # kept as the context's last level above 2**14, with its prefix walk
+    builds, walks, runs = [], [], []
+    init, walk, rank_run = _LevelData.__init__, _LevelData._walk_bounds, engine._rank_run
+    monkeypatch.setattr(_LevelData, "__init__", lambda self, ctx, m, n, k, b=None:
+                        builds.append(n) or init(self, ctx, m, n, k, b))
+    monkeypatch.setattr(_LevelData, "_walk_bounds", lambda self, *a: walks.append(self.n)
+                        or walk(self, *a))
+    monkeypatch.setattr(engine, "_rank_run", lambda *a: runs.append(1) or rank_run(*a))
+    sched = smooth_schedule(lipschitz_params(Fraction(1, 250)))
+    out = simulate(sched, GeneratorSource(38, Fraction(3, 10)), max_tosses=sched.idle_below)
+    assert (out.bit, out.tosses) == (1, 1 << 15)
+    assert runs == [1]
+    assert builds.count(1 << 15) == walks.count(1 << 15) == 1
+
+
 @lru_cache(maxsize=None)
 def _bounded_jump_schedule():
     # idle below 2**12: the jump 2**11 -> 2**12 ranks on prefix bounds
