@@ -15,8 +15,8 @@ The default p = 1/4 lies outside double:3/25's fast region. The
 doubler's margin needs q <= 1/2 - 4*eps = 0.02, and the sqrt-hinge
 starts at 1/2 - 3*eps = 0.14; at p = 1/4, h - g shrinks only by about
 1/sqrt(2) per doubling (the printed ratio 7.071e-01). At --p 1/10 the
-run decides at n0, and the printed width (about 3e-17) sits at the
-float evaluator's rounding floor: it is not a rate.
+run decides at n0, where h - g is about 7.8e-60: g and h round to the
+same double, the printed width is 0 and no ratio is printed.
 """
 
 import argparse
@@ -64,7 +64,7 @@ def main() -> None:
         values = envelope_eval(sched, cfg.p, n, mode="float-with-bound")
         dt = time.perf_counter() - t0
         width = values.h - values.g
-        note = "" if prev is None else f" ratio={width / prev:.3e}"
+        note = f" ratio={width / prev:.3e}" if prev else ""
         print(f"n={n}: width={width:.3e}{note} ({dt:.1f}s)")
         prev = width
         n *= 2

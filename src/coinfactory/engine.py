@@ -71,9 +71,6 @@ from .numerics import (
     ceil_frac_mul,
     comb,
     floor_frac_mul,
-    iv_add,
-    iv_from_fraction,
-    iv_mul,
 )
 
 
@@ -205,8 +202,8 @@ def word_lexrank(word: Sequence[int]) -> int:
     return rank
 
 
-# cached per-(jump, k) tables are only built up to BINOM_CACHE_LIMIT;
-# larger jumps stream their convolution sums without keeping rows.
+# a level's exact sums (_build) keep the gap's running sum every this many
+# terms, at any size, so prefix_weight adds fewer than this many terms to one
 _SNAPSHOT_STRIDE = 16
 # fractional bits of the fixed-point term walks that bound a level's sums
 _W = 128
@@ -861,20 +858,21 @@ def envelope_eval(
     """Evaluate the lower/upper envelope polynomials at bias p.
 
     exact mode returns Fractions with zero error. float-with-bound mode
-    returns doubles with certified absolute error bounds, computed from the
-    schedule's rational envelope values and an outward-rounded binomial
-    weight recurrence; count rounding contributes at most
-    sum_k p^k (1-p)^(n-k), which widens g down and h up before the radii
-    are taken.
+    returns doubles with certified absolute error bounds. It walks the
+    binomial weights out from the mode in _W-bit fixed point, relative to
+    the mode's exact weight (_pmf_walk), and sums them against the
+    schedule's rational envelope values; count rounding contributes at
+    most sum_k p^k (1-p)^(n-k), which widens g down and h up. Only the
+    final brackets become doubles: each value is the double nearest its
+    bracket's midpoint, and each radius covers the bracket, rounded up.
 
-    The weight recurrence walks outward from the mode and each side stops
-    once its weight falls below 2**-70 (see _pmf_walk), so only a few
-    thousand k are visited at n = 2**17. The weights it skips sum to at
-    most a certified geometric tail w r / (1 - r), which is added to the
-    upper ends of g and h. That is sound only when 0 <= alpha <= beta <= 1
-    for every k, which holds for every schedule in the bounds class;
-    doubling_raw_schedule below n0 is not in it. A visited pair outside
-    that range raises InvalidSchedule.
+    Each side of the walk stops once the weights past it sum to at most
+    one ulp, so only a few thousand k are visited at n = 2**17. The
+    weights it skips are bounded by a geometric tail, which is added to
+    the upper ends of g and h. That is sound only when
+    0 <= alpha <= beta <= 1 for every k, which holds for every schedule
+    in the bounds class; doubling_raw_schedule below n0 is not in it. A
+    visited pair outside that range raises InvalidSchedule.
     """
     p = Fraction(p)
     if not 0 < p < 1:
@@ -902,101 +900,82 @@ def _eval_exact(schedule: EnvelopeSchedule, p: Fraction, n: int) -> EnvelopeValu
 
 
 def _eval_float(schedule: EnvelopeSchedule, p: Fraction, n: int) -> EnvelopeValues:
-    q = 1 - p
-    # anchored binomial pmf recurrence in outward-rounded double intervals
-    k_star = min(n, int((n + 1) * p))
-    # int / int rounds correctly, as float(Fraction) does, without the gcd
-    num, den = p.numerator, p.denominator
-    w_star = binom(n, k_star) * num ** k_star * (den - num) ** (n - k_star) / den ** n
-    w_iv = (math.nextafter(w_star, -math.inf), math.nextafter(w_star, math.inf))
-    glo = ghi = hlo = hhi = 0.0
-    points, tail = _pmf_walk(n, k_star, w_iv, p / q)
-    for k, wv in points:
-        alpha, beta = schedule.ab_values(n, k)
-        if not 0 <= alpha <= beta <= 1:
-            raise InvalidSchedule(n, k, f"envelope pair ({alpha}, {beta}) "
-                                        "outside 0 <= alpha <= beta <= 1")
-        glo, ghi = iv_add((glo, ghi), iv_mul(iv_from_fraction(alpha), wv))
-        hlo, hhi = iv_add((hlo, hhi), iv_mul(iv_from_fraction(beta), wv))
-    if tail:
-        # the weights the walk skipped carry alpha and beta in [0, 1]
-        ghi = math.nextafter(ghi + tail, math.inf)
-        hhi = math.nextafter(hhi + tail, math.inf)
-    slack = _rounding_slack(p, q, n)
+    a, d = p.numerator, p.denominator
+    c = d - a
+    k0 = (n + 1) * a // d
+    # g and h sum floor(alpha t) and floor(beta t) over the walked weights
+    # t, relative to the mode's in _W fractional bits. err bounds what both
+    # miss: term s is under s ulps low and loses under one more to the
+    # floor, and a side's skipped terms, with alpha and beta in [0, 1], add
+    # at most its tail
+    g = h = err = 0
+    for step, walk in ((1, (n, a, c, k0)), (-1, (n, c, a, n - k0))):
+        terms, tail = _pmf_walk(*walk)
+        err += tail + len(terms) * (len(terms) + 1) // 2
+        # the up side takes the mode's weight, the down side starts past it
+        for s in range(step < 0, len(terms)):
+            k = k0 + step * s
+            alpha, beta = schedule.ab_values(n, k)
+            if not 0 <= alpha <= beta <= 1:
+                raise InvalidSchedule(n, k, f"envelope pair ({alpha}, {beta}) "
+                                            "outside 0 <= alpha <= beta <= 1")
+            g += floor_frac_mul(alpha, terms[s])
+            h += floor_frac_mul(beta, terms[s])
+    dn = d ** n
+    # the mode's weight binom(n, k0) a**k0 c**(n - k0) / d**n in _W bits,
+    # rounded down, so w0 + 1 bounds it above
+    w0 = (binom(n, k0) * a ** k0 * c ** (n - k0) << _W) // dn
     # count_a = floor(alpha * binom) lies in [alpha * binom - 1, alpha * binom]
-    # and count_b in [beta * binom, beta * binom + 1]; the radii cover this
-    glo = math.nextafter(glo - slack, -math.inf)
-    hhi = math.nextafter(hhi + slack, math.inf)
-    g, g_err = _midpoint(glo, ghi)
-    h, h_err = _midpoint(hlo, hhi)
+    # and count_b in [beta * binom, beta * binom + 1]: g widens down by the
+    # slack and h up. The brackets are in 2 * _W fractional bits
+    slack = _rounding_slack(n, a, c, dn) << _W
+    g, g_err = _nearest_double(g * w0 - slack, (g + err) * (w0 + 1), 2 * _W)
+    h, h_err = _nearest_double(h * w0, (h + err) * (w0 + 1) + slack, 2 * _W)
     return EnvelopeValues(g, h, g_err, h_err)
 
 
-def _midpoint(lo: float, hi: float) -> tuple[float, float]:
-    """The midpoint of [lo, hi] and a radius about it covering [lo, hi], rounded up."""
-    mid = 0.5 * (lo + hi)
-    return mid, math.nextafter(max(hi - mid, mid - lo), math.inf)
+def _pmf_walk(n: int, a: int, c: int, j: int) -> tuple[list[int], int]:
+    """(terms, tail): w(j + s) / w(j) for s = 0, 1, ... in _W fractional bits.
 
-
-# a side of the pmf walk may stop once its weight's upper end is below this
-_TAIL_CUTOFF = 2.0 ** -70
-
-
-def _pmf_walk(n, k_star, w_star_iv, ratio):
-    """Binomial weight intervals from the anchor outward, and a bound on the rest.
-
-    Returns ([(k, weight interval)], tail), k_star first, then up to n, then
-    down to 0. A side stops at k once the weight's upper end w is below
-    _TAIL_CUTOFF and the upper end r of the step ratio to the next k is
-    below 1. The pmf is log-concave, so step ratios only fall further out
-    and the weights left on that side sum to at most w r / (1 - r); tail is
-    the sum of these bounds, rounded up.
+    w(i) = binom(n, i) a**i c**(n - i) is the binomial pmf at p = a/(a + c),
+    times (a + c)**n. It is log-concave with mode floor((n + 1) a / (a + c));
+    j is at or past it, so the step ratios (n - i) a / ((i + 1) c) are at
+    most 1 and only fall. Swapping a and c mirrors the weights, so
+    _pmf_walk(n, c, a, n - j) walks them down from j. Each term is carried
+    rounded down, so terms[s] is less than s ulps low. The walk stops at n
+    or by _walk_out's rule, and tail, rounded up in _W bits, bounds the
+    weights past the last term.
     """
-    up = iv_from_fraction(ratio)
-    down = iv_from_fraction(1 / ratio)
-    points = [(k_star, w_star_iv)]
-    tail = 0.0
-    for sign in (1, -1):
-        wv, k = w_star_iv, k_star
-        while 0 <= k + sign <= n:
-            if sign > 0:
-                step, move = iv_from_fraction(Fraction(n - k, k + 1)), up
-            else:
-                step, move = iv_from_fraction(Fraction(k, n - k + 1)), down
-            if wv[1] < _TAIL_CUTOFF:
-                r = iv_mul(step, move)[1]
-                if r < 1.0:
-                    wr = math.nextafter(wv[1] * r, math.inf)
-                    rest = math.nextafter(wr / math.nextafter(1.0 - r, -math.inf), math.inf)
-                    tail = math.nextafter(tail + rest, math.inf)
-                    break
-            wv = iv_mul(iv_mul(wv, step), move)
-            k += sign
-            points.append((k, wv))
-    return points, tail
+    tl = 1 << _W
+    terms = [tl]
+    while j < n:
+        num, den = (n - j) * a, (j + 1) * c
+        if num < den and (tl == 0 or tl < den and (tl + len(terms) - 1) * num <= den - num):
+            return terms, -(-(tl + len(terms) - 1) * num // (den - num))
+        tl = tl * num // den
+        j += 1
+        terms.append(tl)
+    return terms, 0
 
 
-def _rounding_slack(p: Fraction, q: Fraction, n: int) -> float:
-    # sum_k p^k q^(n-k) <= min((n+1) M^n, M^(n+1) / (M - m)), M = max(p, q),
-    # m = min(p, q), since the sum is (M^(n+1) - m^(n+1)) / (M - m); upper
-    # bounded in doubles, the second only when M > m
-    big, small = max(p, q), min(p, q)
-    base = iv_from_fraction(big)
-    acc = (1.0, 1.0)
-    e = n
-    sq = base
-    while e:
-        if e & 1:
-            acc = iv_mul(acc, sq)
-        e >>= 1
-        if e:
-            sq = iv_mul(sq, sq)
-    bound = math.nextafter(acc[1] * (n + 1), math.inf)
-    gap = iv_from_fraction(big - small)[0]
-    if gap > 0.0:
-        geometric = math.nextafter(iv_mul(acc, base)[1] / gap, math.inf)
-        bound = min(bound, geometric)
-    return bound
+def _rounding_slack(n: int, a: int, c: int, dn: int) -> int:
+    """sum_k p**k q**(n - k) rounded up in _W fractional bits, p = a/d, q = c/d, dn = d**n.
+
+    The sum is (c**(n + 1) - a**(n + 1)) / ((c - a) d**n), or (n + 1) / 2**n
+    at p = 1/2.
+    """
+    total = n + 1 if a == c else (c ** (n + 1) - a ** (n + 1)) // (c - a)
+    return -(-(total << _W) // dn)
+
+
+def _nearest_double(lo: int, hi: int, bits: int) -> tuple[float, float]:
+    """The double nearest the midpoint of [lo, hi] / 2**bits, and a radius
+    about it covering the bracket, taken exactly and rounded up."""
+    lo, hi = Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+    mid = float((lo + hi) / 2)
+    r = max(hi - Fraction(mid), Fraction(mid) - lo)
+    rf = float(r)
+    return mid, rf if rf >= r else math.nextafter(rf, math.inf)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,6 @@
 Everything here is exact or one-sided: square roots and exponentials are
 returned as dyadic rationals that bound the true value from the stated side,
 so downstream schedule inequalities stay provable in integer arithmetic.
-Float interval helpers at the bottom are used only by the float-with-bound
-evaluation mode and widen by one ulp per operation.
 """
 
 from __future__ import annotations
@@ -307,29 +305,3 @@ def bernstein_coeffs(a, max_degree: int):
             return b
     return None
 
-
-# --- float intervals with outward widening -------------------------------
-
-_INF = math.inf
-
-
-def _down(v: float) -> float:
-    return math.nextafter(v, -_INF)
-
-
-def _up(v: float) -> float:
-    return math.nextafter(v, _INF)
-
-
-def iv_from_fraction(fr: Fraction) -> tuple[float, float]:
-    f = float(fr)  # correctly rounded
-    return _down(f), _up(f)
-
-
-def iv_add(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    return _down(a[0] + b[0]), _up(a[1] + b[1])
-
-
-def iv_mul(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return _down(min(products)), _up(max(products))

@@ -718,10 +718,12 @@ def test_envelope_eval_float_mode_brackets_exact():
 
 
 @pytest.mark.parametrize("n", [1024, 4096])
-@pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)])
+@pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(3, 10), Fraction(1, 2),
+                               Fraction(1, 1000), Fraction(999, 1000)])
 def test_envelope_eval_float_tail_cutoff_brackets_exact(n, p):
     # at these sizes the pmf walk stops short of k = 0 or k = n on some
-    # side, so the geometric tail term is part of the bound
+    # side, so the geometric tail term is part of the bound; at 1/1000
+    # and 999/1000 the mode sits at or next to one end of the row
     sched = smooth_schedule(lipschitz_params())
     exact = envelope_eval(sched, p, n)
     aprx = envelope_eval(sched, p, n, mode="float-with-bound")
@@ -729,32 +731,71 @@ def test_envelope_eval_float_tail_cutoff_brackets_exact(n, p):
     assert abs(Fraction(aprx.h) - exact.h) <= Fraction(aprx.h_err)
 
 
-@pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)])
-def test_envelope_eval_float_tail_term_carries_a_large_cutoff(monkeypatch, p):
-    # at 2**-70 the skipped mass is far below the interval rounding; at
-    # 2**-12 the bound holds only because of the tail term
-    monkeypatch.setattr(engine, "_TAIL_CUTOFF", 2.0 ** -12)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10).map(lambda j: 1 << j),
+       st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000),
+                    max_denominator=1000))
+def test_envelope_eval_float_brackets_exact_at_a_coarse_width(n, p):
+    # at 8 fractional bits the walked weights lose a large share to
+    # rounding and each side stops within a few dozen terms, often on a
+    # zero term, so the bracket holds only through its error bound. n is
+    # a checkpoint: the Lipschitz schedule's are the powers of two
     sched = smooth_schedule(lipschitz_params())
-    exact = envelope_eval(sched, p, 1024)
-    aprx = envelope_eval(sched, p, 1024, mode="float-with-bound")
+    assert sched.is_checkpoint(n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_W", 8)
+        aprx = envelope_eval(sched, p, n, mode="float-with-bound")
+    exact = envelope_eval(sched, p, n)
     assert abs(Fraction(aprx.g) - exact.g) <= Fraction(aprx.g_err)
     assert abs(Fraction(aprx.h) - exact.h) <= Fraction(aprx.h_err)
 
 
+@pytest.mark.parametrize("p", [Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)])
+def test_envelope_eval_float_tail_term_carries_a_large_cutoff(monkeypatch, p):
+    # at 12 fractional bits each side of the walk at n = 1024 stops within
+    # a few dozen terms and skips dozens of ulps of the row's mass, so the
+    # bracket must hold with a large cutoff and its tail in the error bound
+    monkeypatch.setattr(engine, "_W", 12)
+    n, a, d = 1024, p.numerator, p.denominator
+    k0 = (n + 1) * a // d
+    for walk in ((n, a, d - a, k0), (n, d - a, a, n - k0)):
+        terms, tail = engine._pmf_walk(*walk)
+        assert len(terms) < 100 and tail > 10
+    sched = smooth_schedule(lipschitz_params())
+    aprx = envelope_eval(sched, p, n, mode="float-with-bound")
+    exact = envelope_eval(sched, p, n)
+    assert abs(Fraction(aprx.g) - exact.g) <= Fraction(aprx.g_err)
+    assert abs(Fraction(aprx.h) - exact.h) <= Fraction(aprx.h_err)
+
+
+def test_envelope_eval_float_radii_at_the_doubler_first_active_checkpoint():
+    # double:3/25 at n0 = 2**17, p = 1/10: h - g is 7.8e-60 and the count
+    # rounding slack far smaller, so the radii are the doubles' own rounding
+    sched = doubling_schedule(DoublingParams(Fraction(3, 25)))
+    values = envelope_eval(sched, Fraction(1, 10), sched.metadata()["n0"],
+                           mode="float-with-bound")
+    assert 0 < values.g_err <= 1e-15 and 0 < values.h_err <= 1e-15
+
+
 @pytest.mark.parametrize("n,p", [(64, Fraction(1, 10)), (300, Fraction(3, 10)),
                                  (1024, Fraction(1, 2))])
-def test_pmf_walk_tail_bounds_the_skipped_weights(monkeypatch, n, p):
-    monkeypatch.setattr(engine, "_TAIL_CUTOFF", 2.0 ** -12)
+def test_pmf_walk_tail_bounds_the_skipped_weights(n, p):
     pmf = [comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)]
-    k_star = min(n, int((n + 1) * p))
-    w = float(pmf[k_star])
-    points, tail = engine._pmf_walk(n, k_star, (math.nextafter(w, 0), math.nextafter(w, 1)),
-                                    p / (1 - p))
-    visited = {k for k, _ in points}
+    a, c = p.numerator, p.denominator - p.numerator
+    k0 = (n + 1) * a // p.denominator
+    one = 1 << engine._W
+    # each side's terms are the weights relative to the mode's, s ulps out
+    points, tail = [], 0
+    for step, walk in ((1, (n, a, c, k0)), (-1, (n, c, a, n - k0))):
+        terms, side_tail = engine._pmf_walk(*walk)
+        tail += side_tail
+        points += [(k0 + step * s, s, t) for s, t in enumerate(terms) if s or step > 0]
+    visited = {k for k, _, _ in points}
     assert len(visited) == len(points) < n + 1
-    for k, (lo, hi) in points:
-        assert Fraction(lo) <= pmf[k] <= Fraction(hi)
-    assert 0 < sum(pmf[k] for k in range(n + 1) if k not in visited) <= Fraction(tail)
+    for k, s, t in points:
+        assert Fraction(t, one) <= pmf[k] / pmf[k0] <= Fraction(t + s, one)
+    skipped = sum(pmf[k] for k in range(n + 1) if k not in visited)
+    assert 0 < skipped <= pmf[k0] * Fraction(tail, one)
 
 
 def test_envelope_eval_float_visits_fewer_weights_than_the_row():
@@ -773,12 +814,14 @@ def test_envelope_eval_float_visits_fewer_weights_than_the_row():
 def test_rounding_slack_bounds_the_weight_sum(n, p):
     q = 1 - p
     weights = sum(p ** k * q ** (n - k) for k in range(n + 1))
-    slack = engine._rounding_slack(p, q, n)
-    assert weights <= Fraction(slack)
+    a, d = p.numerator, p.denominator
+    ulp = Fraction(1, 1 << engine._W)
+    slack = engine._rounding_slack(n, a, d - a, d ** n) * ulp
+    assert weights <= slack < weights + ulp
     if p != Fraction(1, 2):
         # no looser than the geometric bound M^(n+1) / (M - m), up to rounding
         big, small = max(p, q), min(p, q)
-        assert Fraction(slack) <= big ** (n + 1) / (big - small) * (1 + Fraction(1, 10 ** 12))
+        assert slack <= big ** (n + 1) / (big - small) + ulp
 
 
 def test_envelope_eval_float_rejects_pair_outside_unit_interval():
