@@ -44,14 +44,15 @@ EXIT_VERIFY = 3
 
 
 def _usage_errors(parse):
-    """Argument type whose package errors and zero denominators are usage
-    errors; argparse itself catches only ValueError and TypeError."""
+    """Argument type whose package errors, malformed values and zero
+    denominators are usage errors that name the reason; argparse itself
+    reports a ValueError only as an invalid value of the parser's name."""
 
     @functools.wraps(parse)
     def checked(text: str):
         try:
             return parse(text)
-        except (CoinFactoryError, ZeroDivisionError) as e:
+        except (CoinFactoryError, ValueError, ZeroDivisionError) as e:
             raise argparse.ArgumentTypeError(f"invalid value {text!r}: {e}") from e
 
     return checked

@@ -33,8 +33,11 @@ validate_schedule keeps a private one, whose rows end with the call. The
 rank state after a checkpoint is a function of the word's prefix up to
 it. decide and the exhaustive oracle rank many words that share
 prefixes, so they keep the state at each checkpoint of the last word
-(rank_word) and start the next word from the deepest one it shares;
-simulate draws one word and keeps none. Where a schedule's idle prefix
+(rank_word) and start the next word from the deepest one it shares.
+Where the first active checkpoint n_a is at most _MEMO_BITS, simulate
+draws a run's first n_a bits in one chunk and looks the word up in a memo
+of outcomes and rank states that rank_word fills, so a run that decides
+at n_a ranks nothing. Where a schedule's idle prefix
 ends at 132 bits or later (_JUMP_FROM), simulate does not rank it: it
 draws through the idle checkpoints counting ones, and at the first active
 one bounds the rank by the block of words that share the prefix's weight.
@@ -214,6 +217,9 @@ _W = 128
 _JUMP_FROM = 1
 while not math.comb(_JUMP_FROM, _JUMP_FROM // 2) >> _W:
     _JUMP_FROM += 1
+# simulate serves a first active checkpoint of at most this many bits from
+# its context's word memo, which then holds at most 2**_MEMO_BITS words
+_MEMO_BITS = 12
 
 
 class _LevelData:
@@ -561,10 +567,15 @@ class RankContext:
     (32 KB) in all, the least recently used dropped first (binom). It
     also keeps the last word that rank_word ranked and that word's path:
     (checkpoint, rank state or decision) for each checkpoint it passed,
-    from which the next word resumes. A schedule owns one, its
-    rank_context, for every run; the memos depend on the schedule alone,
-    so no run sees what ran before. validate_schedule keeps a private one,
-    or validating to 2**14 would pin tens of MB on the schedule.
+    from which the next word resumes. Where the schedule's first active
+    checkpoint n_a is at most _MEMO_BITS, simulate's word memo maps each
+    n_a-bit word it has met to one OutcomeRecord, shared by every run that
+    draws it, if the word decides at n_a, or to the rank state after n_a
+    if it continues: at most 2**n_a words, 4096 at the bound. A schedule
+    owns one, its rank_context, for every run; the memos depend on the
+    schedule alone, so no run sees what ran before. validate_schedule
+    keeps a private one, or validating to 2**14 would pin tens of MB on
+    the schedule.
     """
 
     def __init__(self, schedule: EnvelopeSchedule):
@@ -585,6 +596,11 @@ class RankContext:
         # at least _JUMP_FROM, and None otherwise
         idle = schedule.checkpoints_upto(schedule.idle_below - 1)
         self._idle_points = idle if idle and idle[-1] >= _JUMP_FROM else None
+        # the first active checkpoint if at most _MEMO_BITS, and None
+        # otherwise; simulate's word memo, its words one bit per byte
+        first = schedule.checkpoint(len(idle))
+        self._first_active = first if first is not None and first <= _MEMO_BITS else None
+        self._first_words: dict = {}
 
     def counts(self, n: int, k: int, b: Optional[int] = None) -> tuple[int, int]:
         key = (n, k)
@@ -827,15 +843,40 @@ def simulate(
     Intermediate lengths never decide. Raises Undecided when max_tosses
     would be exceeded or a finite schedule runs out of checkpoints. Runs
     on schedule.rank_context, whose memo serves every later run. Chunks
-    come from source.draw_chunk. Where the schedule's idle prefix ends at
-    _JUMP_FROM or later, the run only draws through it and ranks from the
-    first checkpoint that can decide (_jump_idle); it draws the same bits
-    and takes the same decision as the rank loop.
+    come from source.draw_chunk.
+
+    Where the first active checkpoint n_a is at most _MEMO_BITS and
+    max_tosses, the run draws its first n_a bits in one chunk. Every
+    checkpoint below n_a is idle and never decides, so the rank loop would
+    draw the same bits, in the same order, to reach n_a, and a short tape
+    is exhausted at the same toss. The word's entry in the context's memo,
+    filled by rank_word on a miss, is the record returned if the word
+    decides at n_a, or the rank state from which the rank loop draws on.
+    Where the schedule's idle prefix ends at _JUMP_FROM or later, the run
+    only draws through it and ranks from the first checkpoint that can
+    decide (_jump_idle). Either way it draws the same bits and takes the
+    same decision as the rank loop from the start.
     """
     ctx = schedule.rank_context
-    run = _rank_run if ctx._idle_points is None else _jump_idle
+    limit = math.inf if max_tosses is None else max_tosses
     start = source.tosses_consumed
-    decision, _ = run(ctx, source.draw_chunk, math.inf if max_tosses is None else max_tosses)
+    first = ctx._first_active
+    if first is not None and first <= limit:
+        word = bytes(source.draw_chunk(first))
+        hit = ctx._first_words.get(word)
+        if hit is None:
+            decision, _ = rank_word(ctx, word)
+            if decision is _CONTINUE:
+                hit = ctx._path[-1][1]
+            else:
+                hit = OutcomeRecord(int(decision is _ONE), first)
+            ctx._first_words[word] = hit
+        if hit.__class__ is OutcomeRecord:
+            return hit
+        decision, _ = _rank_run(ctx, source.draw_chunk, limit, hit)
+    else:
+        run = _rank_run if ctx._idle_points is None else _jump_idle
+        decision, _ = run(ctx, source.draw_chunk, limit)
     tosses = source.tosses_consumed - start
     if decision is _ONE:
         return OutcomeRecord(1, tosses)

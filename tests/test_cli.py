@@ -279,6 +279,27 @@ def test_rejected_argument_values_are_usage_errors(argv, capsys):
     assert "invalid value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["simulate", "--target", "walk:0", "--p", "1/3", "--runs", "10"],
+     "invalid value 'walk:0': steps must be >= 1"),
+    (["simulate", "--target", "walk:abc", "--p", "1/3", "--runs", "10"],
+     "invalid value 'walk:abc': invalid literal for int()"),
+    (["simulate", "--target", "monomial:x", "--p", "1/3", "--runs", "10"],
+     "invalid value 'monomial:x': invalid literal for int()"),
+    (["simulate", "--target", "monomial:2", "--p", "abc", "--runs", "10"],
+     "invalid value 'abc': Invalid literal for Fraction"),
+    (["compile", "p", "--domain", "1/10:2/5", "--backend", "approx:x"],
+     "invalid value 'approx:x': invalid literal for int()"),
+], ids=["walk_zero", "walk_not_int", "monomial_not_int", "p_not_fraction", "backend_not_int"])
+def test_malformed_argument_values_are_usage_errors_naming_the_reason(argv, reason, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert reason in err
+    assert "_resolve_target" not in err and "_fraction" not in err
+
+
 @pytest.mark.parametrize("expr", ["p", "p+1/5"])
 @pytest.mark.parametrize("backend", ["approx:0", "approx:-3"])
 def test_backend_with_steps_below_one_is_usage_error(expr, backend, capsys):

@@ -1222,6 +1222,95 @@ def test_two_schedules_never_share_a_memo():
     assert (out.bit, out.tosses) == (1, 2)
 
 
+def _monomial_from(first):
+    # p**2 on the checkpoints first, 2 first, 4 first, ...: active from the
+    # first, and consistent, as every jump's carried mass is a Vandermonde sum
+    return EnvelopeSchedule("monomial-from", {"first": first}, lambda t: first << t,
+                            ab_fn=monomial_schedule(2).ab_values)
+
+
+# schedules whose first active checkpoint simulate serves from its word
+# memo: p**j at j, Lipschitz idling below 8, the defect planted at (4, 2),
+# and p**2 from 12 bits, the memo's bound
+_MEMO_SCHEDULES = {
+    "monomial_1": lambda: monomial_schedule(1),
+    "monomial_2": lambda: monomial_schedule(2),
+    "monomial_3": lambda: monomial_schedule(3),
+    "lipschitz_1/4": lambda: smooth_schedule(lipschitz_params(Fraction(1, 4))),
+    "corrupt": corrupt_monomial_fixture,
+    "monomial_2_from_12": lambda: _monomial_from(12),
+}
+
+
+@lru_cache(maxsize=None)
+def _memo_schedule(name):
+    # the schedule, whose own context simulate memoizes on, and a fresh
+    # context for the rank loop
+    schedule = _MEMO_SCHEDULES[name]()
+    return schedule, RankContext(schedule)
+
+
+def _simulated_on(schedule, tape, cap):
+    try:
+        out = simulate(schedule, tape, max_tosses=cap)
+        result = out.bit, out.tosses
+    except Undecided as u:
+        result = "Undecided", u.tosses
+    except (InvalidSchedule, SourceExhausted) as e:
+        result = type(e).__name__
+    return result, tape.position
+
+
+def _ranked_from_start(ctx, tape, cap):
+    try:
+        decision, pos = engine._rank_run(ctx, tape.draw_chunk, math.inf if cap is None else cap,
+                                         engine._START)
+        bit = {Decision.OutputOne: 1, Decision.OutputZero: 0}.get(decision, "Undecided")
+        result = bit, pos
+    except (InvalidSchedule, SourceExhausted) as e:
+        result = type(e).__name__
+    return result, tape.position
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(_MEMO_SCHEDULES)),
+       st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=16),
+                 st.integers(min_value=17, max_value=512)))
+def test_simulate_takes_the_first_active_checkpoint_from_its_memo_as_the_rank_loop(name, seed,
+                                                                                   cap):
+    # tapes that end before, at and past the first active checkpoint, under
+    # caps below, at and past it; each word runs twice on the schedule's
+    # context, where the second run is served from the memo
+    schedule, fresh = _memo_schedule(name)
+    ctx = schedule.rank_context
+    first = ctx._first_active
+    rng = random.Random(seed)
+    for _ in range(20):
+        p = rng.choice([0.1, 0.3, 0.5, 0.9])
+        length = rng.choice([rng.randrange(first), first, rng.randrange(first + 1, 513)])
+        word = [int(rng.random() < p) for _ in range(length)]
+        ranked = _ranked_from_start(fresh, TapeSource(word), cap)
+        assert _simulated_on(schedule, TapeSource(word), cap) == ranked
+        assert _simulated_on(schedule, TapeSource(word), cap) == ranked
+    assert len(ctx._first_words) <= 2 ** first
+
+
+def test_no_word_memo_past_its_bound():
+    # large_jump's schedule idles below 2**15 and double:3/25 below 2**17;
+    # p**2 from 13 bits is one past the memo's bound
+    capped = [smooth_schedule(lipschitz_params(Fraction(1, 250))),
+              doubling_schedule(DoublingParams(Fraction(3, 25)))]
+    for schedule in capped:
+        with pytest.raises(Undecided):
+            simulate(schedule, GeneratorSource(1, Fraction(3, 10)), max_tosses=64)
+    beyond = _monomial_from(13)
+    assert simulate(beyond, GeneratorSource(1, Fraction(3, 10))).tosses >= 13
+    for schedule in capped + [beyond]:
+        assert schedule.rank_context._first_active is None
+        assert schedule.rank_context._first_words == {}
+
+
 # --- schedule surface --------------------------------------------------------------
 
 

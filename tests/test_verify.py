@@ -457,6 +457,16 @@ def test_monte_carlo_reports_frozen(target, p, digest):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+def test_capped_lipschitz_report_frozen():
+    # criterion 3c under envelope_sampling's cap: about half the runs stop at
+    # the first active checkpoint 8, and a few are capped and score 1/2
+    doc = report_to_json(monte_carlo(smooth_target(), Fraction(3, 10), 1500, 501,
+                                     max_tosses=4096, undecided="midpoint"))
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+    assert hashlib.sha256(blob).hexdigest() == \
+        "40c0e4bb66c8aded5c8e33381431b80a542dacaee3838bf09c6a13afdd085354"
+
+
 def test_monte_carlo_undecided_policies():
     sched = smooth_target()
     report = monte_carlo(sched, Fraction(3, 10), 200, 3,
