@@ -43,6 +43,10 @@ _BLOCK_CAP = 4096
 # the buffer and one refill cover it; numpy's fixed cost per call (about
 # 6 us) is repaid from about 150 bits on (2 cores, Python 3.11.7)
 _SHORT_DRAW = 128
+# A longer draw takes its raw words from numpy this many at a time (8 MB),
+# so its peak memory is one block plus about twice count bytes of bits,
+# not 8 bytes a bit
+_DRAW_BLOCK = 1 << 20
 # Replica seeds are mixed and hashed this many at a time.
 _SEED_CHUNK = 1024
 # Fewer replicas than this are seeded by numpy's own hash, one seed at a
@@ -302,11 +306,12 @@ class GeneratorSource(CoinSource):
     by random_raw in blocks of 8, 16, ... up to 4096 words. draw_bits
     serves a short draw that the buffered words and one refill cover the
     same way, in plain Python; any other draw takes the buffered words
-    and the rest in one numpy call. draw_bits returns a list either way;
-    draw_chunk returns a numpy draw as the bytes of its comparison, one
-    bit per byte, which skips building and summing a list of Python ints
-    (a 2**14-bit chunk: about 15 us, against about 360 us as a list, on
-    2 cores, Python 3.11.7). The
+    and the rest from numpy, in blocks of at most _DRAW_BLOCK words, the
+    same words in the same order as one call would give. draw_bits
+    returns a list either way; draw_chunk returns a numpy draw as the
+    bytes of its comparison, one bit per byte, which skips building and
+    summing a list of Python ints (a 2**14-bit chunk: about 15 us,
+    against about 360 us as a list, on 2 cores, Python 3.11.7). The
     bits and tosses_consumed are the same for any mix of the methods.
     tosses_consumed counts bits handed out, not words drawn.
 
@@ -400,16 +405,30 @@ class GeneratorSource(CoinSource):
         stop = start + count
         q = self._q
         if count > _SHORT_DRAW or stop - len(words) > self._block:
-            # the buffered words, and any rest in one numpy draw
+            # the buffered words, then the rest in numpy draws of at most
+            # _DRAW_BLOCK words each
             self._pos = min(stop, len(words))
-            u = self._raw(stop - self._pos)
+            u = self._raw(min(stop - self._pos, _DRAW_BLOCK))
             if self._pos > start:
                 u = np.concatenate((np.array(words[start:self._pos], dtype=np.uint64), u))
-            bits = (u < np.uint64(q)).view(np.uint8)
-            # a word equals q with probability 2**-64, so the equality mask
-            # is searched as bytes, and its indices listed only on a hit
-            eq = b"" if self._exact else (u == np.uint64(q)).tobytes()
-            boundary = [i for i, e in enumerate(eq) if e] if 1 in eq else ()
+            q64 = np.uint64(q)
+            bits = np.empty(count, dtype=np.bool_)
+            boundary = []
+            at = 0
+            while True:
+                end = at + len(u)
+                np.less(u, q64, out=bits[at:end])
+                # a word equals q with probability 2**-64, so the equality
+                # mask is searched as bytes, and its indices listed only on
+                # a hit
+                if not self._exact:
+                    eq = (u == q64).tobytes()
+                    if 1 in eq:
+                        boundary += [at + i for i, e in enumerate(eq) if e]
+                if end == count:
+                    break
+                at, u = end, self._raw(min(count - end, _DRAW_BLOCK))
+            bits = bits.view(np.uint8)
         else:
             # as next_bit does: the buffered words, then at most one refill
             if stop > len(words):

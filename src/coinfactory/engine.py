@@ -39,10 +39,13 @@ draws a run's first n_a bits in one chunk and looks the word up in a memo
 of outcomes and rank states that rank_word fills, so a run that decides
 at n_a ranks nothing. Where a schedule's idle prefix
 ends at 132 bits or later (_JUMP_FROM), simulate does not rank it: it
-draws through the idle checkpoints counting ones, and at the first active
-one bounds the rank by the block of words that share the prefix's weight.
-Only a run whose block crosses a count replays its chunks through the
-rank loop (_jump_idle).
+draws to the first active checkpoint in one chunk, counts its ones, and
+there bounds the rank by the block of words that share the prefix's
+weight, on a prefix walk that stops once its bounds settle the block's
+side of each count. Only a run whose block crosses a count replays its
+chunks through the rank loop (_jump_idle). The bits drawn and every
+decision are the rank loop's: idle checkpoints never decide, and bounds
+are sound wherever a walk stops.
 
 Binomials up to BINOM_CACHE_LIMIT come from numerics' cache. Above it, a
 level's total, a chunk's size and a walk's anchors come from the
@@ -408,10 +411,12 @@ class _LevelData:
         """(lo, err) with lo <= prefix_weight(i) <= lo + err.
 
         A bounded idle level bounds the weight by a term walk from i
-        (_walk_bounds), which takes t = binom(m, i) binom(d, k - i) if
-        given; a bounded non-idle one reads it off the sums of its walk
-        (_walk_sums), past ihi too, where it bounds total. Elsewhere, and
-        once the exact weight is memoized, err is 0.
+        (_walk_bounds). Given t = binom(m, i) binom(d, k - i), the width of
+        the block of words that a run jumping an idle prefix to this level
+        ranks in, the walk may stop as soon as its bounds settle that
+        jump. A bounded non-idle level reads the weight off the sums of its
+        walk (_walk_sums), past ihi too, where it bounds total. Elsewhere,
+        and once the exact weight is memoized, err is 0.
         """
         if self.bounded and self._ilo < i and i not in self._memo:
             if not self._idle:
@@ -419,9 +424,7 @@ class _LevelData:
                 return (self._t0 * self._cum[j]) >> _W, self._perr
             if i <= self._ihi:
                 hit = self._bounds.get(i)
-                if hit is None:
-                    hit = self._bounds[i] = self._walk_bounds(i, t)
-                return hit
+                return self._walk_bounds(i, t) if hit is None else hit
         return self.prefix_weight(i), 0
 
     def _walk_sums(self) -> Optional[tuple[int, int]]:
@@ -489,30 +492,66 @@ class _LevelData:
         return (t0 * ta_lo) >> 2 * _W, -(-t0 * (slack + (tail << _W)) >> 2 * _W) + 1
 
     def _walk_bounds(self, i: int, t: Optional[int] = None) -> tuple[int, int]:
-        # t(i') = binom(m, i') binom(d, k - i'). Above the mode the prefix
-        # is total minus the tail from t(i); below it, the tail from
-        # t(i-1) of the mirrored terms. Either way the walk moves away
-        # from the mode. A run reaching this level has taken binom(m, i)
-        # (the last level's total) and binom(d, k - i) (this chunk's size),
-        # so t(i) costs no new binomial up to BINOM_CACHE_LIMIT, and above
-        # it the context's row memo keeps both.
+        """prefix_bounds(i) of a bounded idle level, from one term walk.
+
+        t(i') = binom(m, i') binom(d, k - i'). Above the mode the prefix
+        is total minus the sum S of the terms from t(i) up; below it, S
+        is the sum of the mirrored terms from t(i - 1) down. Either way
+        the walk moves away from the mode, and S lies in [t L, t U] / 2**_W,
+        t its first term, L the walk's lower sum and U that plus its
+        rounding and tail. A run reaching this level has taken binom(m, i)
+        (the last level's total) and binom(d, k - i) (this chunk's size),
+        so t(i) costs no new binomial up to BINOM_CACHE_LIMIT, and above
+        it the context's row memo keeps both.
+
+        A run that jumps an idle prefix to this level, and passes t = t(i),
+        has its rank in [P(i), P(i) + t), and decides One if P(i) + t <=
+        da_hi - ta_err, Zero if P(i) >= db_hi. Both thresholds are then put
+        in the walk's units, one division each, so the walk can stop once
+        L or U clears one (_walk_out), most often within a few terms of i.
+        Its bounds are sound and settle the jump as _jump_idle tests them,
+        and are not kept. A walk that settles nothing runs on to
+        _walk_out's one-ulp stop, as when no t is given, and its bounds are
+        kept for the rank loop that replays the run.
+        """
         m, d, k, ctx = self.m, self.d, self.k, self._ctx
-        if t is None:
+        settle = t is not None
+        if not settle:
             t = ctx.binom(m, i) * ctx.binom(d, k - i)
+        # the jump decides One once P(i) <= one, Zero once P(i) >= zero
+        one, zero = self.da_hi - self.ta_err - t, self.db_hi
         above = i - 1 > (k + 1) * (m + 1) // (self.n + 2)
         if above:
-            terms, tail = _walk_out(m, d, k, i)
+            walk = m, d, k, i
+            # P(i) = total - S: settled once S reaches reach or falls to fall
+            reach, fall = self.total - one, self.total - zero
         else:
+            walk = d, m, k, k - i + 1
             t = t * (i * (d - k + i)) // ((m - i + 1) * (k - i + 1))
-            terms, tail = _walk_out(d, m, k, k - i + 1)
-        # terms[s] is less than s ulps low, so their sum under s(s - 1)/2 ulps
-        s = len(terms)
+            reach, fall = zero, one
+        # t L >> _W >= reach iff L >= low, and t U / 2**_W rounded up <= fall
+        # iff U <= high
+        goal = (-((-reach << _W) // t), (fall << _W) // t) if settle else ()
+        terms, tail = _walk_out(*walk, *goal)
         lo = sum(terms)
-        lo, hi = (t * lo) >> _W, -((-t * (lo + s * (s - 1) // 2 + tail)) >> _W)
-        return (self.total - hi if above else lo), hi - lo
+        if tail is None:
+            # stopped on its lower sum: S is bounded above only by total
+            hi, settled = self.total, True
+        else:
+            # terms[s] is less than s ulps low, so their sum under s(s - 1)/2 ulps
+            s = len(terms)
+            up = lo + s * (s - 1) // 2 + tail
+            hi = -((-t * up) >> _W)
+            settled = settle and up <= goal[1]
+        lo = (t * lo) >> _W
+        bounds = (self.total - hi if above else lo), hi - lo
+        if not settled:
+            self._bounds[i] = bounds
+        return bounds
 
 
-def _walk_out(m: int, d: int, k: int, j: int) -> tuple[list[int], int]:
+def _walk_out(m: int, d: int, k: int, j: int, low: Optional[int] = None,
+              high: Optional[int] = None) -> tuple[list[int], Optional[int]]:
     """(terms, tail): t(j + s) / t(j) for s = 0, 1, ... in _W fractional bits.
 
     t(i) = binom(m, i) binom(d, k - i) is log-concave in i with mode
@@ -527,17 +566,32 @@ def _walk_out(m: int, d: int, k: int, j: int) -> tuple[list[int], int]:
     or once tl is 0, since past that point each further term's rounding
     costs more than the term adds. tail is that geometric bound, rounded
     up, in _W bits.
+
+    _walk_bounds, settling a jump, also stops the walk early: with tail
+    None once the terms' sum reaches low, and once that sum, plus its
+    s(s - 1)/2 ulps of rounding and the tail past the last of its s terms,
+    is at most high. Either sum bounds the true one on its side, and
+    either stop may be given without the other.
     """
-    tl = 1 << _W
+    tl = total = 1 << _W
     terms = [tl]
+    if low is not None and total >= low:
+        return terms, None
     end = min(m, k)
     while j < end:
         num, den = (m - j) * (k - j), (j + 1) * (d - k + j + 1)
-        if num < den and (tl == 0 or tl < den and (tl + len(terms) - 1) * num <= den - num):
-            return terms, -(-(tl + len(terms) - 1) * num // (den - num))
+        if num < den:
+            s = len(terms)
+            over = (tl + s - 1) * num
+            if tl == 0 or tl < den and over <= den - num or high is not None and \
+                    over <= (high - total - s * (s - 1) // 2) * (den - num):
+                return terms, -(-over // (den - num))
         tl = tl * num // den
         j += 1
         terms.append(tl)
+        total += tl
+        if low is not None and total >= low:
+            return terms, None
     return terms, 0
 
 
@@ -799,35 +853,43 @@ def _jump_idle(ctx: RankContext, draw: Callable[[int], Sequence[int]],
     """_rank_run from _START, on a schedule whose idle checkpoints are
     ctx._idle_points: the same draws, decision and length ranked.
 
-    Every rank continues at an idle level, so the run only draws the idle
-    chunks and counts their ones. All binom(m, i) words of weight i at the
-    last idle checkpoint m survive, so at the next checkpoint n, at weight
-    k, the rank lies in [P(i), P(i) + t), t = binom(m, i) binom(n - m, k - i)
+    Every rank continues at an idle level, and none decides, so the run
+    draws its first n bits, to the first active checkpoint n, in one
+    chunk: the rank loop would draw the same bits in the same order, and
+    a short tape is exhausted at the same toss. All binom(m, i) words of
+    weight i at the last idle checkpoint m survive, so at n, at weight k,
+    the rank lies in [P(i), P(i) + t), t = binom(m, i) binom(n - m, k - i)
     and P(i) = prefix_weight(i). If that interval lies below da or at or
-    above db, the run decides there; otherwise _rank_run replays the drawn
-    chunks and draws on.
+    above db, the run decides there, on prefix bounds whose walk stops
+    once they settle that (_walk_bounds): bounds are sound wherever the
+    walk stops, so the decision is the rank loop's. Otherwise _rank_run
+    replays the word, cut at the idle checkpoints, and draws on. Under a
+    limit below n, or with no checkpoint past the idle ones, the run
+    draws in one chunk to the last idle checkpoint within the limit,
+    where the rank loop stops undecided, for the same reasons.
     """
-    chunks = []
-    pos = ones = 0
-    for n in ctx._idle_points:
-        if n > limit:
-            return _CONTINUE, pos
-        chunks.append(draw(n - pos))
-        ones += chunks[-1].count(1)
-        pos = n
-    j = len(chunks)
+    points = ctx._idle_points
+    j = len(points)
+    m = points[-1]
     n = ctx.schedule.checkpoint(j)
     if n is None or n > limit:
-        return _CONTINUE, pos
-    chunks.append(draw(n - pos))
-    k = ones + chunks[-1].count(1)
-    data = ctx.level_data(j, pos, n, k)
-    t = ctx.binom(pos, ones) * ctx.binom(n - pos, k - ones)
+        n = max((p for p in points if p <= limit), default=0)
+    # bytes count the ones in a slice without copying it; a bytes draw
+    # passes through bytes() as itself
+    word = bytes(draw(n)) if n else b""
+    if n <= m:
+        return _CONTINUE, n
+    ones = word.count(1, 0, m)
+    k = ones + word.count(1, m, n)
+    data = ctx.level_data(j, m, n, k)
+    t = ctx.binom(m, ones) * ctx.binom(n - m, k - ones)
     lo, err = data.prefix_bounds(ones, t)
     if lo + err + t <= data.da_hi - data.ta_err:
         return _ONE, n
     if lo >= data.db_hi:
         return _ZERO, n
+    cuts = [0] + points + [n]
+    chunks = [word[a:b] for a, b in zip(cuts, cuts[1:])]
     chunks.reverse()
     return _rank_run(ctx, lambda count: chunks.pop() if chunks else draw(count), limit)
 
@@ -853,9 +915,9 @@ def simulate(
     filled by rank_word on a miss, is the record returned if the word
     decides at n_a, or the rank state from which the rank loop draws on.
     Where the schedule's idle prefix ends at _JUMP_FROM or later, the run
-    only draws through it and ranks from the first checkpoint that can
-    decide (_jump_idle). Either way it draws the same bits and takes the
-    same decision as the rank loop from the start.
+    draws to the first checkpoint that can decide, in one chunk within
+    max_tosses, and ranks from there (_jump_idle). Either way it draws the
+    same bits and takes the same decision as the rank loop from the start.
     """
     ctx = schedule.rank_context
     limit = math.inf if max_tosses is None else max_tosses

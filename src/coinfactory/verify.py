@@ -262,10 +262,14 @@ def monte_carlo(target: Target, p, runs: int, seed: int, *,
     undecided="midpoint" a capped run scores 1/2, the midpoint of the
     still-possible outputs; the exact envelope bracket then makes the
     estimator's bias the bracket asymmetry, which is negligible for the
-    capped targets used here.
+    capped targets used here. seed must lie in [0, 2**64): mix_seed reduces
+    its seed mod 2**64, so a seed outside that range would name the stream
+    of another while the report recorded its own.
     """
     if runs < 1:
         raise InvalidParams("runs must be at least 1")
+    if not 0 <= seed < 1 << 64:
+        raise InvalidParams(f"seed = {seed} must lie in [0, 2**64)")
     if undecided not in ("error", "midpoint"):
         raise InvalidParams("undecided policy must be 'error' or 'midpoint'")
     if max_tosses is not None and max_tosses < 1:

@@ -119,6 +119,14 @@ def test_simulate_max_tosses_below_one_is_rejected(cap, capsys):
     assert text.splitlines() == [f"error: max_tosses = {cap} must be at least 1"]
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_simulate_seed_outside_64_bits_is_rejected(seed, capsys):
+    rc, text = run(["simulate", "--target", "monomial:2", "--p", "1/3", "--runs", "10",
+                    "--seed", seed], capsys)
+    assert rc == 3
+    assert text.splitlines() == [f"error: seed = {seed} must lie in [0, 2**64)"]
+
+
 def test_simulate_max_tosses_on_a_walk_target_is_one_error_line(capsys):
     rc, text = run(["simulate", "--target", "walk:200", "--p", "1/4", "--runs", "50",
                     "--max-tosses", "5"], capsys)

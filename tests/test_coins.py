@@ -225,6 +225,31 @@ def test_short_draws_and_next_bit_read_one_stream_through_a_boundary_word(seed):
     assert mixed._bitgen.sizes == [8, 16, 32, 185, 64, 4941, 128, 13, 256, 0, 512]
 
 
+def test_a_draw_past_one_block_reads_the_stream_as_one_draw(monkeypatch):
+    # blocks of 5 words: a 150-bit chunk after 3 next_bit calls takes the
+    # 5 words left of the first refill and 29 blocks, and its boundary
+    # word, raw word 40, is refined in toss order as next_bit refines it;
+    # the 131-bit draw takes 13 buffered words, 23 blocks and 3 words
+    monkeypatch.setattr(coins, "_DRAW_BLOCK", 5)
+    seed = 5
+    raw = np.random.PCG64(seed).random_raw(41).tolist()
+    bias = Fraction(2 * raw[40] + 1, 2 ** 65)
+    per_bit = GeneratorSource(seed, bias)
+    expected = [per_bit.next_bit() for _ in range(3 + 150 + 3 + 131)]
+    mixed = GeneratorSource(seed, bias)
+    mixed._bitgen = _RecordedRaw(seed)
+    got = [mixed.next_bit() for _ in range(3)]
+    chunk = mixed.draw_chunk(150)
+    assert isinstance(chunk, bytes)
+    got += list(chunk)
+    got += [mixed.next_bit() for _ in range(3)]
+    got += mixed.draw_bits(131)
+    assert got == expected
+    assert mixed.tosses_consumed == len(got)
+    assert expected[40] == _refined_bits(seed, bias, 1)[0]
+    assert mixed._bitgen.sizes == [8] + [5] * 29 + [16] + [5] * 23 + [3]
+
+
 def test_generator_boundary_words_refine_alike_in_both_paths():
     bias = Fraction(2, 7)
     q = (bias.numerator << 64) // bias.denominator

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coinfactory import (
@@ -897,6 +897,93 @@ def test_prefix_bounds_at_the_large_jump_are_tight():
         lo, err = level.prefix_bounds(i)
         assert 0 < err and err << 100 < lo
         assert lo <= level.prefix_weight(i) <= lo + err
+
+
+def _near(data, at, t):
+    """at moved a few words, or a power-of-two share of t, either way."""
+    return at + data.draw(st.one_of(
+        st.integers(min_value=-4, max_value=4),
+        st.builds(lambda sign, r: sign * (t >> r), st.sampled_from([-1, 1]),
+                  st.integers(min_value=0, max_value=40))))
+
+
+@pytest.mark.parametrize("width", [engine._W, 8])
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=1 << 12),
+       st.integers(min_value=1, max_value=1 << 12), st.data())
+def test_a_settling_prefix_walk_decides_only_as_the_exact_prefix_weight(width, m, d, data):
+    # an idle jump m -> n decides One if P(i) + t <= da and Zero if
+    # P(i) >= db, t = binom(m, i) binom(d, k - i); with da and db placed
+    # close to either side of the exact P(i) + t and P(i), the walk that
+    # stops once its bounds settle the jump must stay sound, decide only
+    # as the exact weight does, and keep its bounds only if they settle
+    # nothing, when they are the full walk's
+    n = m + d
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_W", width)
+        k = data.draw(st.integers(min_value=0, max_value=n))
+        ctx = RankContext(_IDLE)
+        level = _LevelData(ctx, m, n, k)
+        assume(level.bounded and level._ilo < level._ihi)
+        i = data.draw(st.integers(min_value=level._ilo + 1, max_value=level._ihi))
+        t = comb(m, i) * comb(d, k - i)
+        exact = _LevelData(ctx, m, n, k).prefix_weight(i)
+        level.da_hi = _near(data, exact + t, t)
+        level.db_hi = _near(data, exact, t)
+        lo, err = level.prefix_bounds(i, t)
+        full = _LevelData(ctx, m, n, k).prefix_bounds(i)
+    assert 0 <= err and lo <= exact <= lo + err
+    one = lo + err + t <= level.da_hi - level.ta_err
+    zero = lo >= level.db_hi
+    assert not one or exact + t <= level.da_hi - level.ta_err
+    assert not zero or exact >= level.db_hi
+    if one or zero:
+        assert i not in level._bounds
+    else:
+        assert (lo, err) == level._bounds[i] == full
+
+
+def test_a_settling_walk_stops_where_the_jump_is_decided(monkeypatch):
+    # at large_jump's first active level most replicas' blocks lie far
+    # from da and db (seed 0's included), so the walk stops within a few
+    # terms of i, where the full walk takes hundreds, and keeps nothing
+    lengths = []
+    walk_out = engine._walk_out
+
+    def counted(*args):
+        terms, tail = walk_out(*args)
+        lengths.append(len(terms))
+        return terms, tail
+
+    monkeypatch.setattr(engine, "_walk_out", counted)
+    sched = smooth_schedule(lipschitz_params(Fraction(1, 250)))
+    out = simulate(sched, GeneratorSource(0, Fraction(3, 10)), max_tosses=sched.idle_below)
+    assert (out.bit, out.tosses) == (1, 1 << 15)
+    assert len(lengths) == 1 and lengths[0] < 10
+    level = sched.rank_context._levels[sched.rank_context._large_level]
+    assert level._bounds == {}
+    lo, err = level.prefix_bounds(3 * (1 << 14) // 10)
+    assert lengths[1] > 100 and err << 100 < lo
+
+
+@pytest.mark.parametrize("m, d, k, j", [(40, 50, 45, 25), (300, 20, 100, 95),
+                                        (2000, 3000, 2500, 1010), (4096, 4096, 1229, 620)])
+def test_a_walk_stopped_on_its_high_sum_alone_bounds_the_terms_between_them(m, d, k, j):
+    # given high without low, the walk still adds its terms up, so the
+    # upper sum it stops on lies between the true one and high
+    def t(i):
+        return comb(m, i) * comb(d, k - i)
+
+    exact = Fraction(sum(t(i) for i in range(j, min(m, k) + 1)) << engine._W, t(j))
+    terms, tail = engine._walk_out(m, d, k, j)
+    s = len(terms)
+    full = sum(terms) + s * (s - 1) // 2 + tail
+    for high in (full, math.ceil(exact) + (1 << engine._W - 12), 2 * full):
+        terms, tail = engine._walk_out(m, d, k, j, high=high)
+        s = len(terms)
+        up = sum(terms) + s * (s - 1) // 2 + tail
+        assert exact <= up <= high
+        assert sum(terms) <= exact
 
 
 def _random_unit_schedule(seed):

@@ -23,6 +23,8 @@ from coinfactory import (
     corrupt_monomial_fixture,
     decide,
     double_plan,
+    doubling_schedule,
+    DoublingParams,
     feasibility_check,
     hypergeom_pmf,
     identity_plan,
@@ -413,6 +415,22 @@ def test_monte_carlo_rejects_max_tosses_below_one(cap):
         monte_carlo(smooth_target(), Fraction(3, 10), 10, 3, max_tosses=cap, undecided="midpoint")
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64)])
+def test_monte_carlo_refuses_seeds_outside_64_bits_before_any_replica(seed):
+    # mix_seed reduces seeds mod 2**64: -1 would run seed 2**64 - 1's
+    # replicas, and 2**64 seed 0's, under a report recording its own seed
+    calls = []
+    with pytest.raises(InvalidParams, match=rf"seed = {seed} must lie in \[0, 2\*\*64\)"):
+        monte_carlo(lambda src: calls.append(src), Fraction(1, 3), 10, seed)
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+def test_monte_carlo_takes_the_seeds_at_the_ends_of_64_bits(seed):
+    report = monte_carlo(monomial_schedule(2), Fraction(1, 3), 50, seed)
+    assert report.seed == seed and report.runs == 50
+
+
 @pytest.mark.parametrize("target", [
     constant_plan(Fraction(1, 3)),
     WalkConfig(200),
@@ -465,6 +483,23 @@ def test_capped_lipschitz_report_frozen():
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
     assert hashlib.sha256(blob).hexdigest() == \
         "40c0e4bb66c8aded5c8e33381431b80a542dacaee3838bf09c6a13afdd085354"
+
+
+@pytest.mark.parametrize("make, p, kwargs, digest", [
+    (lambda: smooth_schedule(SmoothnessParams(
+        lambda p: Fraction(1, 2) + p / 4, MODE_LIPSCHITZ, Fraction(1, 4), Fraction(1, 250))),
+     Fraction(3, 10), {"max_tosses": 1 << 15, "undecided": "midpoint", "tail_points": [32767]},
+     "cb79cf5ed8f4265a8cf7ce099c7c46318052e85d3d1e854dfce7a1f24112ecfa"),
+    (lambda: doubling_schedule(DoublingParams(Fraction(3, 25))), Fraction(1, 10), {},
+     "4a3443517b72c30eb7ab610de6d8b7ea0c0c430a4a88f0430fdee526f07a7ef8"),
+], ids=["lipschitz_capped_at_its_jump", "doubler_fast_region"])
+def test_idle_jump_reports_frozen(make, p, kwargs, digest):
+    # every replica jumps an idle prefix, of 2**15 and 2**17 bits, and most
+    # decide on the jump's prefix bounds alone: large_jump's schedule under
+    # its cap, and the doubler at n0 in its fast region
+    doc = report_to_json(monte_carlo(make(), p, 64, 501, **kwargs))
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_monte_carlo_undecided_policies():
