@@ -16,14 +16,15 @@ read. A rank is read, oldest chunk first (it carries the largest
 weight), only while the interval crosses a count; idle levels, where
 every word continues, never read one. Every level whose binom(n, k)
 reaches 2**128 ranks on certified bounds from 128-bit fixed-point walks
-of a few hundred terms out from the terms' mode, all taken by one walk
-(_walk_out): an idle level bounds its prefix weights, and a non-idle one
-in the unit class (0 <= alpha <= beta <= 1 on the row it jumps from)
-also its carried mass, and so da and db. The exact sums, one pass over
-the level's terms for idle and non-idle levels alike, are the fallback,
-built only when the bounds' error alone keeps the interval crossing a
-count once every rank is read, or when validate_schedule meets a
-consistency check that the bounds leave open. A run refuses a level
+of a few hundred terms out from the terms' mode, all taken by the one
+walker that also takes float-with-bound's pmf walk (_walk): an idle level
+bounds its prefix weights, and a non-idle one in the unit class (0 <=
+alpha <= beta <= 1 on the row it jumps from) also its carried mass, and
+so da and db. The exact sums, one pass over the level's terms for idle
+and non-idle levels alike, are the fallback, built only when the bounds'
+error alone keeps the interval crossing a count once every rank is read,
+or when validate_schedule meets a consistency check that the bounds
+leave open. A run refuses a level
 whose bounds refute a check; one they leave open it takes on the exact
 sums if it builds them, and passes otherwise.
 
@@ -43,7 +44,7 @@ draws to the first active checkpoint in one chunk, counts its ones, and
 there bounds the rank by the block of words that share the prefix's
 weight, on a prefix walk that stops once its bounds settle the block's
 side of each count. Only a run whose block crosses a count replays its
-chunks through the rank loop (_jump_idle). The bits drawn and every
+word's bytes through the rank loop (_jump_idle). The bits drawn and every
 decision are the rank loop's: idle checkpoints never decide, and bounds
 are sound wherever a walk stops.
 
@@ -150,7 +151,12 @@ class EnvelopeSchedule:
         j = 0
         while True:
             n = self.checkpoint(j)
-            if n is None or n > limit:
+            if n is None:
+                return out
+            # the first checkpoint past limit too, which RankContext reads
+            if n <= (out[-1] if out else 0):
+                raise InvalidParams(f"checkpoint {j} is {n}: checkpoints must increase from 1")
+            if n > limit:
                 return out
             out.append(n)
             j += 1
@@ -310,14 +316,14 @@ class _LevelData:
         # (0, binom(m, i)), so an idle level's sums are 0 and binom(n, k)
         d, k, ilo = self.d, self.k, self._ilo
         ta = total = 0
-        snapshots = self._snapshots = {}
+        snapshots = {}
         for i, cval, ca, gap in self._terms(ilo, self._ihi + 1, _comb(d, k - ilo)):
             if (i - ilo) % _SNAPSHOT_STRIDE == 0:
                 snapshots[i] = (total, cval)
             ta += cval * ca
             total += gap
-        self._ta = ta
-        self._total = total
+        # set only once whole, so prefix_weight finds a snapshot at every stride
+        self._ta, self._total, self._snapshots = ta, total, snapshots
 
     def failed_checks(self, settle: bool = True):
         """(kind, lhs, rhs, message) for each level check that fails, in order:
@@ -365,9 +371,7 @@ class _LevelData:
             return self._memo[i]
         if self._snapshots is None:
             self._build()
-        base = ((i - self._ilo) // _SNAPSHOT_STRIDE) * _SNAPSHOT_STRIDE + self._ilo
-        while base not in self._snapshots:
-            base -= _SNAPSHOT_STRIDE
+        base = i - (i - self._ilo) % _SNAPSHOT_STRIDE
         cum, cval = self._snapshots[base]
         for _, cval, _, gap in self._terms(base, i, cval):
             cum += gap
@@ -550,22 +554,19 @@ class _LevelData:
         return bounds
 
 
-def _walk_out(m: int, d: int, k: int, j: int, low: Optional[int] = None,
-              high: Optional[int] = None) -> tuple[list[int], Optional[int]]:
+def _walk(step: Callable[[int], tuple[int, int]], j: int, end: int, low: Optional[int] = None,
+          high: Optional[int] = None) -> tuple[list[int], Optional[int]]:
     """(terms, tail): t(j + s) / t(j) for s = 0, 1, ... in _W fractional bits.
 
-    t(i) = binom(m, i) binom(d, k - i) is log-concave in i with mode
-    floor((k+1)(m+1)/(n+2)), n = m + d. j is at or past it, so the step
-    ratios num/den are at most 1 and only fall. Swapping m and d mirrors
-    the terms, t(i) = binom(d, k - i) binom(m, i), so _walk_out(d, m, k,
-    k - j) walks them down from j. Each term is carried rounded down, so
-    terms[s] is less than s ulps low. The walk stops at min(m, k), past
-    which every term is 0, or where the terms left past the last one, tl,
-    sum to at most (tl + s) r / (1 - r), r = num/den: once that is at
-    most one ulp (for which tl < den is needed, and a cheap first test),
-    or once tl is 0, since past that point each further term's rounding
-    costs more than the term adds. tail is that geometric bound, rounded
-    up, in _W bits.
+    t is a log-concave sequence of terms with t(i + 1) / t(i) = num / den,
+    (num, den) = step(i), and every term past end is 0. j is at or past
+    t's mode, so the step ratios are at most 1 and only fall. Each term is
+    carried rounded down, so terms[s] is less than s ulps low. The walk
+    stops at end, or where the terms left past the last one, tl, sum to at
+    most (tl + s) r / (1 - r), r = num/den: once that is at most one ulp
+    (for which tl < den is needed, and a cheap first test), or once tl is
+    0, since past that point each further term's rounding costs more than
+    the term adds. tail is that geometric bound, rounded up, in _W bits.
 
     _walk_bounds, settling a jump, also stops the walk early: with tail
     None once the terms' sum reaches low, and once that sum, plus its
@@ -577,9 +578,8 @@ def _walk_out(m: int, d: int, k: int, j: int, low: Optional[int] = None,
     terms = [tl]
     if low is not None and total >= low:
         return terms, None
-    end = min(m, k)
     while j < end:
-        num, den = (m - j) * (k - j), (j + 1) * (d - k + j + 1)
+        num, den = step(j)
         if num < den:
             s = len(terms)
             over = (tl + s - 1) * num
@@ -593,6 +593,14 @@ def _walk_out(m: int, d: int, k: int, j: int, low: Optional[int] = None,
         if low is not None and total >= low:
             return terms, None
     return terms, 0
+
+
+def _walk_out(m: int, d: int, k: int, j: int, low: Optional[int] = None,
+              high: Optional[int] = None) -> tuple[list[int], Optional[int]]:
+    """_walk of t(i) = binom(m, i) binom(d, k - i), n = m + d, from j up to
+    min(m, k). t's mode is floor((k+1)(m+1)/(n+2)); swapping m and d mirrors
+    t, so _walk_out(d, m, k, k - j) walks it down from j."""
+    return _walk(lambda i: ((m - i) * (k - i), (i + 1) * (d - k + i + 1)), j, min(m, k), low, high)
 
 
 # RankContext.binom keeps at most _ROW_BITS bits of binomials for each row
@@ -747,6 +755,8 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
         n = schedule.checkpoint(j)
         if n is None or n > limit:
             return _CONTINUE, pos
+        if n <= pos:
+            raise InvalidParams(f"checkpoint {j} is {n}: checkpoints must increase from 1")
         chunk = draw(n - pos)
         new_ones = ones + chunk.count(1)
         data = ctx.level_data(j, pos, n, new_ones)
@@ -863,9 +873,9 @@ def _jump_idle(ctx: RankContext, draw: Callable[[int], Sequence[int]],
     above db, the run decides there, on prefix bounds whose walk stops
     once they settle that (_walk_bounds): bounds are sound wherever the
     walk stops, so the decision is the rank loop's. Otherwise _rank_run
-    replays the word, cut at the idle checkpoints, and draws on. Under a
-    limit below n, or with no checkpoint past the idle ones, the run
-    draws in one chunk to the last idle checkpoint within the limit,
+    replays the word's bytes, cut at the idle checkpoints, and draws on.
+    Under a limit below n, or with no checkpoint past the idle ones, the
+    run draws in one chunk to the last idle checkpoint within the limit,
     where the rank loop stops undecided, for the same reasons.
     """
     points = ctx._idle_points
@@ -888,10 +898,8 @@ def _jump_idle(ctx: RankContext, draw: Callable[[int], Sequence[int]],
         return _ONE, n
     if lo >= data.db_hi:
         return _ZERO, n
-    cuts = [0] + points + [n]
-    chunks = [word[a:b] for a, b in zip(cuts, cuts[1:])]
-    chunks.reverse()
-    return _rank_run(ctx, lambda count: chunks.pop() if chunks else draw(count), limit)
+    read = io.BytesIO(word).read
+    return _rank_run(ctx, lambda count: read(count) or draw(count), limit)
 
 
 def simulate(
@@ -903,9 +911,10 @@ def simulate(
     """Draw to successive checkpoints until the schedule decides.
 
     Intermediate lengths never decide. Raises Undecided when max_tosses
-    would be exceeded or a finite schedule runs out of checkpoints. Runs
-    on schedule.rank_context, whose memo serves every later run. Chunks
-    come from source.draw_chunk.
+    would be exceeded or a finite schedule runs out of checkpoints, and
+    InvalidParams at a checkpoint that does not increase from 1. Runs on
+    schedule.rank_context, whose memo serves every later run. Chunks come
+    from source.draw_chunk.
 
     Where the first active checkpoint n_a is at most _MEMO_BITS and
     max_tosses, the run draws its first n_a bits in one chunk. Every
@@ -940,11 +949,9 @@ def simulate(
         run = _rank_run if ctx._idle_points is None else _jump_idle
         decision, _ = run(ctx, source.draw_chunk, limit)
     tosses = source.tosses_consumed - start
-    if decision is _ONE:
-        return OutcomeRecord(1, tosses)
-    if decision is _ZERO:
-        return OutcomeRecord(0, tosses)
-    raise Undecided(tosses)
+    if decision is _CONTINUE:
+        raise Undecided(tosses)
+    return OutcomeRecord(int(decision is _ONE), tosses)
 
 
 @dataclass(frozen=True)
@@ -1038,27 +1045,11 @@ def _eval_float(schedule: EnvelopeSchedule, p: Fraction, n: int) -> EnvelopeValu
 
 
 def _pmf_walk(n: int, a: int, c: int, j: int) -> tuple[list[int], int]:
-    """(terms, tail): w(j + s) / w(j) for s = 0, 1, ... in _W fractional bits.
-
-    w(i) = binom(n, i) a**i c**(n - i) is the binomial pmf at p = a/(a + c),
-    times (a + c)**n. It is log-concave with mode floor((n + 1) a / (a + c));
-    j is at or past it, so the step ratios (n - i) a / ((i + 1) c) are at
-    most 1 and only fall. Swapping a and c mirrors the weights, so
-    _pmf_walk(n, c, a, n - j) walks them down from j. Each term is carried
-    rounded down, so terms[s] is less than s ulps low. The walk stops at n
-    or by _walk_out's rule, and tail, rounded up in _W bits, bounds the
-    weights past the last term.
-    """
-    tl = 1 << _W
-    terms = [tl]
-    while j < n:
-        num, den = (n - j) * a, (j + 1) * c
-        if num < den and (tl == 0 or tl < den and (tl + len(terms) - 1) * num <= den - num):
-            return terms, -(-(tl + len(terms) - 1) * num // (den - num))
-        tl = tl * num // den
-        j += 1
-        terms.append(tl)
-    return terms, 0
+    """_walk of w(i) = binom(n, i) a**i c**(n - i), the binomial pmf at p =
+    a/(a + c) times (a + c)**n, from j up to n. w's mode is floor((n + 1) a
+    / (a + c)); swapping a and c mirrors w, so _pmf_walk(n, c, a, n - j)
+    walks it down from j."""
+    return _walk(lambda i: ((n - i) * a, (i + 1) * c), j, n)
 
 
 def _rounding_slack(n: int, a: int, c: int, dn: int) -> int:

@@ -10,6 +10,8 @@ import io
 import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -986,6 +988,37 @@ def test_a_walk_stopped_on_its_high_sum_alone_bounds_the_terms_between_them(m, d
         assert sum(terms) <= exact
 
 
+def _walks_digest(walks):
+    return hashlib.sha256(json.dumps([[list(t), tail] for t, tail in walks],
+                                     separators=(",", ":")).encode("ascii")).hexdigest()
+
+
+def test_walkers_outputs_are_pinned():
+    # both walkers are one fixed-point walk given different step ratios:
+    # every term, tail and early stop is bit for bit what each walked alone
+    one = 1 << engine._W
+    outs = []
+    for m, d in [(1, 1), (2, 5), (7, 3), (64, 64), (200, 56), (1000, 1000), (4096, 4096)]:
+        n = m + d
+        for k in sorted({1, n // 3, n // 2, n - 1}):
+            mode = min(max((k + 1) * (m + 1) // (n + 2), max(0, k - d)), min(m, k))
+            outs += [engine._walk_out(m, d, k, mode), engine._walk_out(d, m, k, k - mode)]
+            for low, high in ((None, None), (3 * one // 2, None), (None, 5 * one // 2),
+                              (3 * one // 2, 5 * one // 2)):
+                outs.append(engine._walk_out(m, d, k, min(mode + 3, m, k), low, high))
+    assert len(outs) == 156
+    assert _walks_digest(outs) == \
+        "83870f882e38b4fd43ad4f343d80d682ebef8836ba7d308149ade99a148ec01e"
+    pmf = []
+    for n in (1, 10, 100, 1000, 4096, 1 << 17):
+        for a, q in ((1, 10), (1, 3), (1, 2), (3, 4), (3, 25)):
+            k0 = (n + 1) * a // q
+            pmf += [engine._pmf_walk(n, a, q - a, k0), engine._pmf_walk(n, q - a, a, n - k0)]
+    assert len(pmf) == 60
+    assert _walks_digest(pmf) == \
+        "78680f0fd2a116c64793d9c93567e287a34fae714d146f37fed2e7583793d774"
+
+
 def _random_unit_schedule(seed):
     # checkpoints at arbitrary lengths up to 300 and, at every cell, some
     # 0 <= alpha <= beta <= 1: the consistency checks fail, but the bounds
@@ -1409,3 +1442,44 @@ def test_schedule_checkpoint_structure():
     meta = sched.metadata()
     assert meta["type"].startswith("smooth")
     assert "first_active" in meta
+
+
+STALLED_CHECKPOINTS = """
+from fractions import Fraction
+from coinfactory import TapeSource, simulate
+from coinfactory.engine import EnvelopeSchedule
+from coinfactory.errors import InvalidParams
+
+def refusal(points, tape, **kw):
+    try:
+        sched = EnvelopeSchedule("flat", {}, points, **kw,
+                                 ab_fn=lambda n, k: (Fraction(0), Fraction(1)))
+        simulate(sched, TapeSource(tape))
+    except InvalidParams as exc:
+        return exc
+    return "accepted"
+
+print(refusal(lambda j: 4, [1] * 8))
+print(refusal(lambda j: 4, [1] * 8, idle_below=8))
+print(refusal(lambda j: j, [1] * 8))
+print(refusal(lambda j: -1 if j else 2, [1] * 8))
+print(refusal(lambda j: 16, [1] * 40))
+print(refusal(lambda j: 1 << min(j, 9), [0, 1] * 300, idle_below=300))
+"""
+
+
+def test_checkpoints_that_do_not_increase_from_one_are_refused():
+    # a stalled checkpoint drew 0 bits forever in the rank loop, and hung
+    # the schedule's constructor when it fell among the idle checkpoints;
+    # the cases reach the refusal through the first-active word memo, the
+    # constructor, the plain rank loop and an idle jump's replay, and
+    # include checkpoints of 0 and -1
+    try:
+        proc = subprocess.run([sys.executable, "-c", STALLED_CHECKPOINTS],
+                              capture_output=True, text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("a schedule whose checkpoints stall hung instead of being refused")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"checkpoint {j} is {n}: checkpoints must increase from 1"
+        for j, n in ((1, 4), (1, 4), (0, 0), (1, -1), (1, 16), (10, 512))]
