@@ -367,6 +367,12 @@ class GeneratorSource(CoinSource):
             self._bitgen.advance(_HEAD)
         return self._bitgen.random_raw(count)
 
+    def _refill(self) -> list[int]:
+        """The next block of raw words as the buffer; blocks double up to _BLOCK_CAP."""
+        words = self._words = self._raw(self._block).tolist()
+        self._block = min(2 * self._block, _BLOCK_CAP)
+        return words
+
     def _resolve_boundary(self) -> int:
         # u landed exactly on the truncated expansion: refine bit by bit
         if self._refiner is None:
@@ -385,8 +391,7 @@ class GeneratorSource(CoinSource):
     def next_bit(self) -> int:
         i = self._pos
         if i == len(self._words):
-            self._words = self._raw(self._block).tolist()
-            self._block = min(2 * self._block, _BLOCK_CAP)
+            self._refill()
             i = 0
         self._pos = i + 1
         self.tosses_consumed += 1
@@ -433,8 +438,7 @@ class GeneratorSource(CoinSource):
             # as next_bit does: the buffered words, then at most one refill
             if stop > len(words):
                 u = words[start:]
-                words = self._words = self._raw(self._block).tolist()
-                self._block = min(2 * self._block, _BLOCK_CAP)
+                words = self._refill()
                 stop = count - len(u)
                 u += words[:stop]
             else:

@@ -35,18 +35,18 @@ rank state after a checkpoint is a function of the word's prefix up to
 it. decide and the exhaustive oracle rank many words that share
 prefixes, so they keep the state at each checkpoint of the last word
 (rank_word) and start the next word from the deepest one it shares.
-Where the first active checkpoint n_a is at most _MEMO_BITS, simulate
-draws a run's first n_a bits in one chunk and looks the word up in a memo
-of outcomes and rank states that rank_word fills, so a run that decides
-at n_a ranks nothing. Where a schedule's idle prefix
-ends at 132 bits or later (_JUMP_FROM), simulate does not rank it: it
-draws to the first active checkpoint in one chunk, counts its ones, and
-there bounds the rank by the block of words that share the prefix's
-weight, on a prefix walk that stops once its bounds settle the block's
-side of each count. Only a run whose block crosses a count replays its
-word's bytes through the rank loop (_jump_idle). The bits drawn and every
-decision are the rank loop's: idle checkpoints never decide, and bounds
-are sound wherever a walk stops.
+
+Every checkpoint below the first active one, n_a, is idle and never
+decides, so simulate draws a run's first n_a bits in one chunk: the rank
+loop would draw the same bits in the same order. It takes the word's
+outcome at n_a from a memo of outcomes and rank states where n_a is at
+most _MEMO_BITS; else, where the idle prefix ends at 132 bits or later
+(_JUMP_FROM), from the block of words that share the prefix's weight,
+on a prefix walk that stops once its bounds settle the block's side of
+each count (_jump); and else, or where the block crosses a count, from
+rank_word. A run that continues at n_a resumes the rank loop from its
+rank state there. The bits drawn and every decision are the rank loop's
+from the start: bounds are sound wherever a walk stops.
 
 Binomials up to BINOM_CACHE_LIMIT come from numerics' cache. Above it, a
 level's total, a chunk's size and a walk's anchors come from the
@@ -219,10 +219,11 @@ def word_lexrank(word: Sequence[int]) -> int:
 _SNAPSHOT_STRIDE = 16
 # fractional bits of the fixed-point term walks that bound a level's sums
 _W = 128
-# simulate jumps an idle prefix (_jump_idle) only where its last checkpoint
-# m has binom(m, m // 2) >= 2**_W, m >= 132. Below that, the ranks and walks
-# it would skip are cheap, and its rank interval, binom(m, i) words wide,
-# is too wide beside the gaps between da and db to decide most runs
+# simulate tries the idle block test (_jump) only where the last idle
+# checkpoint m has binom(m, m // 2) >= 2**_W, m >= 132. Below that, the
+# ranks and walks it would skip are cheap, and its rank interval,
+# binom(m, i) words wide, is too wide beside the gaps between da and db to
+# decide most runs
 _JUMP_FROM = 1
 while not math.comb(_JUMP_FROM, _JUMP_FROM // 2) >> _W:
     _JUMP_FROM += 1
@@ -513,10 +514,10 @@ class _LevelData:
         da_hi - ta_err, Zero if P(i) >= db_hi. Both thresholds are then put
         in the walk's units, one division each, so the walk can stop once
         L or U clears one (_walk_out), most often within a few terms of i.
-        Its bounds are sound and settle the jump as _jump_idle tests them,
-        and are not kept. A walk that settles nothing runs on to
-        _walk_out's one-ulp stop, as when no t is given, and its bounds are
-        kept for the rank loop that replays the run.
+        Its bounds are sound and settle the jump as _jump tests them, and
+        are not kept. A walk that settles nothing runs on to _walk_out's
+        one-ulp stop, as when no t is given, and its bounds are kept for
+        the rank loop that ranks the run's word (rank_word).
         """
         m, d, k, ctx = self.m, self.d, self.k, self._ctx
         settle = t is not None
@@ -629,15 +630,16 @@ class RankContext:
     (32 KB) in all, the least recently used dropped first (binom). It
     also keeps the last word that rank_word ranked and that word's path:
     (checkpoint, rank state or decision) for each checkpoint it passed,
-    from which the next word resumes. Where the schedule's first active
-    checkpoint n_a is at most _MEMO_BITS, simulate's word memo maps each
-    n_a-bit word it has met to one OutcomeRecord, shared by every run that
-    draws it, if the word decides at n_a, or to the rank state after n_a
-    if it continues: at most 2**n_a words, 4096 at the bound. A schedule
-    owns one, its rank_context, for every run; the memos depend on the
-    schedule alone, so no run sees what ran before. validate_schedule
-    keeps a private one, or validating to 2**14 would pin tens of MB on
-    the schedule.
+    from which the next word resumes. It works out once the head that
+    every simulate run draws in one chunk: the idle checkpoints, and the
+    first active one n_a after them. Where n_a is at most _MEMO_BITS,
+    simulate's word memo maps each n_a-bit word it has met to one
+    OutcomeRecord, shared by every run that draws it, if the word decides
+    at n_a, or to the rank state after n_a if it continues: at most 2**n_a
+    words, 4096 at the bound. A schedule owns one, its rank_context, for
+    every run; the memos depend on the schedule alone, so no run sees what
+    ran before. validate_schedule keeps a private one, or validating to
+    2**14 would pin tens of MB on the schedule.
     """
 
     def __init__(self, schedule: EnvelopeSchedule):
@@ -654,13 +656,12 @@ class RankContext:
         self._large_level = None
         self._word = b""
         self._path: list = [(0, _START)]
-        # the idle checkpoints that simulate draws through, if the last is
-        # at least _JUMP_FROM, and None otherwise
-        idle = schedule.checkpoints_upto(schedule.idle_below - 1)
-        self._idle_points = idle if idle and idle[-1] >= _JUMP_FROM else None
-        # the first active checkpoint if at most _MEMO_BITS, and None
-        # otherwise; simulate's word memo, its words one bit per byte
-        first = schedule.checkpoint(len(idle))
+        # the idle checkpoints, and n_a, or None if a finite schedule has
+        # no checkpoint past them
+        self._idle_points = schedule.checkpoints_upto(schedule.idle_below - 1)
+        self._head = first = schedule.checkpoint(len(self._idle_points))
+        # n_a if at most _MEMO_BITS, and None otherwise; simulate's word
+        # memo, its words one bit per byte
         self._first_active = first if first is not None and first <= _MEMO_BITS else None
         self._first_words: dict = {}
 
@@ -708,7 +709,7 @@ class RankContext:
                 raise InvalidSchedule(n, k, message)
             if n > BINOM_CACHE_LIMIT:
                 # only the last level above the limit is kept: a run that
-                # _jump_idle replays reads its first active level again
+                # _jump leaves open reads its first active level again
                 self._levels.pop(self._large_level, None)
                 self._large_level = key
             self._levels[key] = hit
@@ -858,48 +859,33 @@ def decide(ctx: RankContext, word: Sequence[int]) -> Decision:
     return decision
 
 
-def _jump_idle(ctx: RankContext, draw: Callable[[int], Sequence[int]],
-               limit: float) -> tuple[Decision, int]:
-    """_rank_run from _START, on a schedule whose idle checkpoints are
-    ctx._idle_points: the same draws, decision and length ranked.
+def _jump(ctx: RankContext, word: bytes) -> Optional[Decision]:
+    """The decision at the first active checkpoint n = len(word) if the idle
+    block settles it, and None otherwise or if the idle prefix ends below
+    _JUMP_FROM.
 
-    Every rank continues at an idle level, and none decides, so the run
-    draws its first n bits, to the first active checkpoint n, in one
-    chunk: the rank loop would draw the same bits in the same order, and
-    a short tape is exhausted at the same toss. All binom(m, i) words of
-    weight i at the last idle checkpoint m survive, so at n, at weight k,
-    the rank lies in [P(i), P(i) + t), t = binom(m, i) binom(n - m, k - i)
-    and P(i) = prefix_weight(i). If that interval lies below da or at or
-    above db, the run decides there, on prefix bounds whose walk stops
-    once they settle that (_walk_bounds): bounds are sound wherever the
-    walk stops, so the decision is the rank loop's. Otherwise _rank_run
-    replays the word's bytes, cut at the idle checkpoints, and draws on.
-    Under a limit below n, or with no checkpoint past the idle ones, the
-    run draws in one chunk to the last idle checkpoint within the limit,
-    where the rank loop stops undecided, for the same reasons.
+    All binom(m, i) words of weight i at the last idle checkpoint m survive,
+    so at n, at weight k, the rank lies in [P(i), P(i) + t), t = binom(m,
+    i) binom(n - m, k - i) and P(i) = prefix_weight(i). If that interval
+    lies below da or at or above db, the word decides there, on prefix
+    bounds whose walk stops once they settle that (_walk_bounds): bounds
+    are sound wherever the walk stops, so the decision is the rank loop's.
     """
     points = ctx._idle_points
-    j = len(points)
-    m = points[-1]
-    n = ctx.schedule.checkpoint(j)
-    if n is None or n > limit:
-        n = max((p for p in points if p <= limit), default=0)
-    # bytes count the ones in a slice without copying it; a bytes draw
-    # passes through bytes() as itself
-    word = bytes(draw(n)) if n else b""
-    if n <= m:
-        return _CONTINUE, n
+    if not points or points[-1] < _JUMP_FROM:
+        return None
+    m, n = points[-1], len(word)
+    # bytes count the ones in a slice without copying it
     ones = word.count(1, 0, m)
     k = ones + word.count(1, m, n)
-    data = ctx.level_data(j, m, n, k)
+    data = ctx.level_data(len(points), m, n, k)
     t = ctx.binom(m, ones) * ctx.binom(n - m, k - ones)
     lo, err = data.prefix_bounds(ones, t)
     if lo + err + t <= data.da_hi - data.ta_err:
-        return _ONE, n
+        return _ONE
     if lo >= data.db_hi:
-        return _ZERO, n
-    read = io.BytesIO(word).read
-    return _rank_run(ctx, lambda count: read(count) or draw(count), limit)
+        return _ZERO
+    return None
 
 
 def simulate(
@@ -916,38 +902,42 @@ def simulate(
     schedule.rank_context, whose memo serves every later run. Chunks come
     from source.draw_chunk.
 
-    Where the first active checkpoint n_a is at most _MEMO_BITS and
-    max_tosses, the run draws its first n_a bits in one chunk. Every
-    checkpoint below n_a is idle and never decides, so the rank loop would
-    draw the same bits, in the same order, to reach n_a, and a short tape
-    is exhausted at the same toss. The word's entry in the context's memo,
-    filled by rank_word on a miss, is the record returned if the word
-    decides at n_a, or the rank state from which the rank loop draws on.
-    Where the schedule's idle prefix ends at _JUMP_FROM or later, the run
-    draws to the first checkpoint that can decide, in one chunk within
-    max_tosses, and ranks from there (_jump_idle). Either way it draws the
-    same bits and takes the same decision as the rank loop from the start.
+    Every checkpoint below the first active one, n_a, is idle and never
+    decides, so the run draws its first n_a bits in one chunk: the rank
+    loop would draw the same bits, in the same order, to reach n_a, and a
+    short tape is exhausted at the same toss. Under a max_tosses below
+    n_a, or with no checkpoint past the idle ones, it draws in one chunk
+    to the last idle checkpoint within max_tosses, where the rank loop
+    stops undecided. The word's outcome at n_a comes from the context's
+    memo where n_a is at most _MEMO_BITS (rank_word fills it on a miss),
+    else from the idle block (_jump), and else from rank_word: the record
+    returned if the word decides at n_a, or the rank state from which the
+    rank loop draws on. Either way the run draws the same bits and takes
+    the same decision as the rank loop from the start.
     """
     ctx = schedule.rank_context
     limit = math.inf if max_tosses is None else max_tosses
+    n = ctx._head
+    if n is None or n > limit:
+        n = max((p for p in ctx._idle_points if p <= limit), default=0)
+        if n:
+            source.draw_chunk(n)
+        raise Undecided(n)
     start = source.tosses_consumed
-    first = ctx._first_active
-    if first is not None and first <= limit:
-        word = bytes(source.draw_chunk(first))
-        hit = ctx._first_words.get(word)
-        if hit is None:
+    word = bytes(source.draw_chunk(n))
+    memo = ctx._first_active is not None
+    hit = ctx._first_words.get(word) if memo else None
+    if hit is None:
+        decision = _jump(ctx, word)
+        if decision is None:
             decision, _ = rank_word(ctx, word)
-            if decision is _CONTINUE:
-                hit = ctx._path[-1][1]
-            else:
-                hit = OutcomeRecord(int(decision is _ONE), first)
+        hit = ctx._path[-1][1] if decision is _CONTINUE else \
+            OutcomeRecord(int(decision is _ONE), n)
+        if memo:
             ctx._first_words[word] = hit
-        if hit.__class__ is OutcomeRecord:
-            return hit
-        decision, _ = _rank_run(ctx, source.draw_chunk, limit, hit)
-    else:
-        run = _rank_run if ctx._idle_points is None else _jump_idle
-        decision, _ = run(ctx, source.draw_chunk, limit)
+    if hit.__class__ is OutcomeRecord:
+        return hit
+    decision, _ = _rank_run(ctx, source.draw_chunk, limit, hit)
     tosses = source.tosses_consumed - start
     if decision is _CONTINUE:
         raise Undecided(tosses)
@@ -1092,11 +1082,7 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_schedule(
-    schedule: EnvelopeSchedule,
-    max_checkpoint: int,
-    check_bounds: bool = True,
-) -> ValidationReport:
+def validate_schedule(schedule: EnvelopeSchedule, max_checkpoint: int) -> ValidationReport:
     """Exact big-integer verification of bounds and consecutive consistency.
 
     Violations are report entries, never exceptions: all bounds ones
@@ -1105,9 +1091,8 @@ def validate_schedule(
     a jump from an idle level costs a Vandermonde total per cell and a
     walked one a term walk, with the exact sums only where the bounds
     leave a check open; the first checkpoint has only the bounds check.
-    check_bounds=False
-    restricts the run to the two convolution inequalities, which is what
-    raw (unclamped) envelope variants are validated against.
+    Raw (unclamped) envelope variants are held to the two convolution
+    inequalities alone: their entries whose kind is not "bounds".
     """
     if max_checkpoint < 1:
         raise InvalidParams(f"max checkpoint {max_checkpoint} must be at least 1")
@@ -1117,7 +1102,7 @@ def validate_schedule(
     for n in points:
         # memoizes the rows' counts, so the jumps below take no binomial for them
         for k, b, ca, cb in _row(ctx.counts, n):
-            if check_bounds and not 0 <= ca <= cb <= b:
+            if not 0 <= ca <= cb <= b:
                 violations.append(Violation("bounds", n, k, ca, cb))
     for m, n in zip(points, points[1:]):
         for k, b in enumerate(binom_row(n)):

@@ -50,7 +50,6 @@ class DoublingParams:
     C1: Fraction = field(init=False)
     C2: Fraction = field(init=False)
     n0: int = field(init=False)
-    _sqrt_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _exp_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _beta_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -66,10 +65,10 @@ class DoublingParams:
         self.n0 = self._search_n0()
 
     def sqrt_surrogate(self, n: int) -> Fraction:
-        """Dyadic upper bound on sqrt(2/n); monotone decreasing in n."""
-        if n not in self._sqrt_cache:
-            self._sqrt_cache[n] = dyadic_sqrt_upper(Fraction(2, n))
-        return self._sqrt_cache[n]
+        """Dyadic upper bound on sqrt(2/n); monotone decreasing in n.
+
+        Not cached: beta_factors, its one library caller, caches per n."""
+        return dyadic_sqrt_upper(Fraction(2, n))
 
     def exp_surrogate(self, n: int) -> Fraction:
         """Dyadic upper bound on exp(-2 eps^2 n) at power-of-two n.

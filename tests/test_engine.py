@@ -582,20 +582,22 @@ def _planted_lipschitz(cell, shift):
                             idle_below=base.idle_below)
 
 
-@pytest.mark.parametrize("make, cap, check_bounds, clean", [
-    (lambda: smooth_schedule(lipschitz_params(Fraction(1, 4))), 2048, True, True),
-    (lambda: doubling_raw_schedule(DoublingParams(Fraction(3, 25))), 1024, False, True),
+@pytest.mark.parametrize("make, cap, raw, clean", [
+    (lambda: smooth_schedule(lipschitz_params(Fraction(1, 4))), 2048, False, True),
+    (lambda: doubling_raw_schedule(DoublingParams(Fraction(3, 25))), 1024, True, True),
     # a planted cell fails a consistency check of its bounded level, and
     # the levels that jump from its row fail the other
-    (lambda: _planted_lipschitz((512, 256), Fraction(1, 10)), 1024, True, False),
-    (lambda: _planted_lipschitz((512, 300), Fraction(-1, 10)), 1024, True, False),
+    (lambda: _planted_lipschitz((512, 256), Fraction(1, 10)), 1024, False, False),
+    (lambda: _planted_lipschitz((512, 300), Fraction(-1, 10)), 1024, False, False),
 ], ids=["lipschitz", "doubling_raw", "planted_up", "planted_down"])
-def test_validation_on_bounds_reports_as_the_exact_sums(monkeypatch, make, cap, check_bounds, clean):
-    bounded = validate_schedule(make(), cap, check_bounds)
+def test_validation_on_bounds_reports_as_the_exact_sums(monkeypatch, make, cap, raw, clean):
+    bounded = validate_schedule(make(), cap)
     monkeypatch.setattr(engine, "_W", 1 << 20)  # no level reaches 2**_W: all exact
-    exact = validate_schedule(make(), cap, check_bounds)
+    exact = validate_schedule(make(), cap)
     assert bounded == exact
-    assert (exact.violations == []) is clean
+    # a raw variant is held to the consistency checks alone
+    checked = [v for v in exact.violations if not raw or v.kind != "bounds"]
+    assert (checked == []) is clean
 
 
 def _counting_exact_builds(monkeypatch):
@@ -1240,7 +1242,7 @@ def test_validate_reports_beta_above_one():
         Violation("bounds", 4, 3, 2, 8),
         Violation("upper-consistency", 4, 3, 8, 2),
     ]
-    assert validate_schedule(sched, 8, check_bounds=False).violations == [
+    assert [v for v in validate_schedule(sched, 8).violations if v.kind != "bounds"] == [
         Violation("upper-consistency", 4, 3, 8, 2),
     ]
 
@@ -1251,7 +1253,7 @@ def test_validate_reports_upper_defect():
     sched = _monomial_with((4, 2), (Fraction(1, 6), Fraction(1, 2)))
     expected = [Violation("upper-consistency", 4, 2, 3, 1)]
     assert validate_schedule(sched, 8).violations == expected
-    assert validate_schedule(sched, 8, check_bounds=False).violations == expected
+    assert [v for v in validate_schedule(sched, 8).violations if v.kind != "bounds"] == expected
 
 
 def test_validate_corrupt_fixture_flags_exactly_that_cell():
@@ -1278,8 +1280,9 @@ def test_validation_flags_exactly_the_levels_a_run_refuses(exponent, data, pair)
         "planted", {"exponent": exponent}, base.checkpoint,
         ab_fn=lambda n, k: tuple(pair) if (n, k) == cell else base.ab_values(n, k))
     first = {}
-    for v in validate_schedule(sched, 16, check_bounds=False).violations:
-        first.setdefault((v.n, v.k), abs(v.lhs - v.rhs))
+    for v in validate_schedule(sched, 16).violations:
+        if v.kind != "bounds":
+            first.setdefault((v.n, v.k), abs(v.lhs - v.rhs))
     ctx = RankContext(sched)
     refused = {}
     for j in range(1, len(points)):
@@ -1414,6 +1417,46 @@ def test_simulate_takes_the_first_active_checkpoint_from_its_memo_as_the_rank_lo
         assert _simulated_on(schedule, TapeSource(word), cap) == ranked
         assert _simulated_on(schedule, TapeSource(word), cap) == ranked
     assert len(ctx._first_words) <= 2 ** first
+
+
+# schedules whose first active word neither the memo nor the idle block
+# serves, so simulate ranks it with rank_word: p**2 from 13 bits, one past
+# the memo's bound; Lipschitz 1/10, idle below 64, far below _JUMP_FROM;
+# and a finite schedule idle at every checkpoint, with no first active one
+_HEAD_SCHEDULES = {
+    "monomial_2_from_13": lambda: _monomial_from(13),
+    "lipschitz_1/10": lambda: smooth_schedule(lipschitz_params(Fraction(1, 10))),
+    "idle_to_32": lambda: EnvelopeSchedule("idle", {}, lambda j: 1 << j if j < 6 else None,
+                                           idle_below=64),
+}
+
+
+@lru_cache(maxsize=None)
+def _head_schedule(name):
+    schedule = _HEAD_SCHEDULES[name]()
+    return schedule, RankContext(schedule)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(_HEAD_SCHEDULES)), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_simulate_ranks_a_head_word_past_the_memo_and_the_jump_as_the_rank_loop(name, seed):
+    # tapes that end before, at and past the first active checkpoint (the
+    # last checkpoint where there is none), under caps below, at and past
+    # it; each word runs twice on the schedule's context, which keeps the
+    # last word ranked and its path
+    schedule, fresh = _head_schedule(name)
+    ctx = schedule.rank_context
+    head = ctx._head or ctx._idle_points[-1]
+    rng = random.Random(seed)
+    for _ in range(20):
+        p = rng.choice([0.1, 0.3, 0.5, 0.9])
+        length = rng.choice([rng.randrange(head), head, rng.randrange(head + 1, 4 * head + 1)])
+        cap = rng.choice([None, rng.randrange(head), head, rng.randrange(head + 1, 4 * head + 1)])
+        word = [int(rng.random() < p) for _ in range(length)]
+        ranked = _ranked_from_start(fresh, TapeSource(word), cap)
+        assert _simulated_on(schedule, TapeSource(word), cap) == ranked
+        assert _simulated_on(schedule, TapeSource(word), cap) == ranked
+    assert ctx._first_words == {}
 
 
 def test_no_word_memo_past_its_bound():

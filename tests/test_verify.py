@@ -492,11 +492,26 @@ def test_capped_lipschitz_report_frozen():
      "cb79cf5ed8f4265a8cf7ce099c7c46318052e85d3d1e854dfce7a1f24112ecfa"),
     (lambda: doubling_schedule(DoublingParams(Fraction(3, 25))), Fraction(1, 10), {},
      "4a3443517b72c30eb7ab610de6d8b7ea0c0c430a4a88f0430fdee526f07a7ef8"),
-], ids=["lipschitz_capped_at_its_jump", "doubler_fast_region"])
+    (lambda: smooth_schedule(SmoothnessParams(
+        lambda p: Fraction(1, 2) + p / 4, MODE_LIPSCHITZ, Fraction(1, 4), Fraction(1, 250))),
+     Fraction(3, 10), {"max_tosses": 20000, "undecided": "midpoint"},
+     "9ce38fae1edaafdb30f626b56ccbc6383236c542f592e55b71f18dc9f9dc12e6"),
+    (lambda: doubling_schedule(DoublingParams(Fraction(3, 25))), Fraction(1, 10),
+     {"max_tosses": 1 << 16, "undecided": "midpoint"},
+     "2dfac551b3a4bc23391642a890f4aac2b9262e7c38b97ece7a1efe081e23dbef"),
+    (lambda: smooth_schedule(SmoothnessParams(
+        lambda p: Fraction(1, 2) + p / 4, MODE_LIPSCHITZ, Fraction(1, 4), Fraction(1, 10))),
+     Fraction(3, 10), {"max_tosses": 4096, "undecided": "midpoint"},
+     "c06ff110a1798d37953fe4b2238fbee9bf63a70e7575acba51863b720c03b077"),
+], ids=["lipschitz_capped_at_its_jump", "doubler_fast_region",
+        "lipschitz_capped_in_its_idle_prefix", "doubler_capped_in_its_idle_prefix",
+        "lipschitz_idle_below_64"])
 def test_idle_jump_reports_frozen(make, p, kwargs, digest):
     # every replica jumps an idle prefix, of 2**15 and 2**17 bits, and most
     # decide on the jump's prefix bounds alone: large_jump's schedule under
-    # its cap, and the doubler at n0 in its fast region
+    # its cap, and the doubler at n0 in its fast region. Capped below n0,
+    # every replica of the two stops undecided at its last idle checkpoint;
+    # Lipschitz 1/10 idles below 64, too short a prefix to jump
     doc = report_to_json(monte_carlo(make(), p, 64, 501, **kwargs))
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
     assert hashlib.sha256(blob).hexdigest() == digest
