@@ -44,9 +44,13 @@ most _MEMO_BITS; else, where the idle prefix ends at 132 bits or later
 (_JUMP_FROM), from the block of words that share the prefix's weight,
 on a prefix walk that stops once its bounds settle the block's side of
 each count (_jump); and else, or where the block crosses a count, from
-rank_word. A run that continues at n_a resumes the rank loop from its
-rank state there. The bits drawn and every decision are the rank loop's
-from the start: bounds are sound wherever a walk stops.
+rank_word. The block test counts the prefix's ones in numpy and runs at
+the block width's scale: the width is bracketed by the top 2 _W bits of
+its two binomial factors, and the counts are cut to that scale, so it
+forms no product or quotient of two numbers as wide as the binomials. A
+run that continues at n_a resumes the rank loop from its rank state
+there. The bits drawn and every decision are the rank loop's from the
+start: brackets and bounds are sound wherever a walk stops.
 
 Binomials up to BINOM_CACHE_LIMIT come from numerics' cache. Above it, a
 level's total, a chunk's size and a walk's anchors come from the
@@ -66,6 +70,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .coins import CoinSource
 from .errors import InvalidParams, InvalidSchedule, Undecided
@@ -412,15 +418,16 @@ class _LevelData:
             yield i, cval, ca, cval * (cb - ca)
             cval = cval * (k - i) // (d - k + i + 1)
 
-    def prefix_bounds(self, i: int, t: Optional[int] = None) -> tuple[int, int]:
+    def prefix_bounds(self, i: int, t: Optional[int | tuple] = None) -> tuple[int, int]:
         """(lo, err) with lo <= prefix_weight(i) <= lo + err.
 
         A bounded idle level bounds the weight by a term walk from i
         (_walk_bounds). Given t = binom(m, i) binom(d, k - i), the width of
         the block of words that a run jumping an idle prefix to this level
-        ranks in, the walk may stop as soon as its bounds settle that
-        jump. A bounded non-idle level reads the weight off the sums of its
-        walk (_walk_sums), past ihi too, where it bounds total. Elsewhere,
+        ranks in, exact or as _jump's bracket (lo, hi, s), the walk may
+        stop as soon as its bounds settle that jump. A bounded non-idle
+        level reads the weight off the sums of its walk (_walk_sums), past
+        ihi too, where it bounds total. Elsewhere, at i <= ilo (weight 0)
         and once the exact weight is memoized, err is 0.
         """
         if self.bounded and self._ilo < i and i not in self._memo:
@@ -496,7 +503,7 @@ class _LevelData:
         self._perr = -(-t0 * (1 + (-(-slack >> _W)) + tail) >> _W) + 1
         return (t0 * ta_lo) >> 2 * _W, -(-t0 * (slack + (tail << _W)) >> 2 * _W) + 1
 
-    def _walk_bounds(self, i: int, t: Optional[int] = None) -> tuple[int, int]:
+    def _walk_bounds(self, i: int, t: Optional[int | tuple] = None) -> tuple[int, int]:
         """prefix_bounds(i) of a bounded idle level, from one term walk.
 
         t(i') = binom(m, i') binom(d, k - i'). Above the mode the prefix
@@ -509,22 +516,26 @@ class _LevelData:
         so t(i) costs no new binomial up to BINOM_CACHE_LIMIT, and above
         it the context's row memo keeps both.
 
-        A run that jumps an idle prefix to this level, and passes t = t(i),
-        has its rank in [P(i), P(i) + t), and decides One if P(i) + t <=
-        da_hi - ta_err, Zero if P(i) >= db_hi. Both thresholds are then put
-        in the walk's units, one division each, so the walk can stop once
-        L or U clears one (_walk_out), most often within a few terms of i.
-        Its bounds are sound and settle the jump as _jump tests them, and
-        are not kept. A walk that settles nothing runs on to _walk_out's
-        one-ulp stop, as when no t is given, and its bounds are kept for
-        the rank loop that ranks the run's word (rank_word).
+        A run that jumps an idle prefix to this level passes t(i), exact or
+        as a bracket (lo, hi, s) with lo 2**s <= t(i) <= hi 2**s (_jump's).
+        Its rank lies in [P(i), P(i) + t(i)), and it decides One if P(i) +
+        hi 2**s <= da_hi - ta_err, Zero if P(i) >= db_hi. Both thresholds
+        are cut to the bracket's scale, 2**s, and put in the walk's units
+        by a division of small integers, so the walk can stop once L or U
+        clears one (_walk_out), most often within a few terms of i. Its
+        bounds are sound, at the bracket's scale, and settle the jump as
+        _jump tests them, and are not kept. A walk that settles nothing
+        runs on to _walk_out's one-ulp stop, as when no t is given, and
+        its bounds are kept for the rank loop that ranks the run's word
+        (rank_word).
         """
         m, d, k, ctx = self.m, self.d, self.k, self._ctx
         settle = t is not None
         if not settle:
             t = ctx.binom(m, i) * ctx.binom(d, k - i)
+        tlo, thi, s = (t, t, 0) if t.__class__ is int else t
         # the jump decides One once P(i) <= one, Zero once P(i) >= zero
-        one, zero = self.da_hi - self.ta_err - t, self.db_hi
+        one, zero = self.da_hi - self.ta_err - (thi << s), self.db_hi
         above = i - 1 > (k + 1) * (m + 1) // (self.n + 2)
         if above:
             walk = m, d, k, i
@@ -532,23 +543,32 @@ class _LevelData:
             reach, fall = self.total - one, self.total - zero
         else:
             walk = d, m, k, k - i + 1
-            t = t * (i * (d - k + i)) // ((m - i + 1) * (k - i + 1))
+            # t(i - 1) = t(i) num / den, and num > 0 as i > ilo; at s = 0
+            # the bracket is exact, and so is the division
+            num, den = i * (d - k + i), (m - i + 1) * (k - i + 1)
+            tlo = tlo * num // den
+            thi = -(-thi * num // den) if s else tlo
             reach, fall = zero, one
-        # t L >> _W >= reach iff L >= low, and t U / 2**_W rounded up <= fall
-        # iff U <= high
-        goal = (-((-reach << _W) // t), (fall << _W) // t) if settle else ()
+        goal = ()
+        if settle:
+            # S's bounds are floor(tlo L / 2**_W) and ceil(thi U / 2**_W) at
+            # scale 2**s: S >= reach iff L >= low, S <= fall iff U <= high.
+            # tlo > 0, as t is exact or a factor keeps its top 2 _W bits,
+            # against den <= (m + 1)(k + 1)
+            reach, fall = -(-reach >> s), fall >> s
+            goal = -((-reach << _W) // tlo), (fall << _W) // thi
         terms, tail = _walk_out(*walk, *goal)
         lo = sum(terms)
         if tail is None:
             # stopped on its lower sum: S is bounded above only by total
             hi, settled = self.total, True
         else:
-            # terms[s] is less than s ulps low, so their sum under s(s - 1)/2 ulps
-            s = len(terms)
-            up = lo + s * (s - 1) // 2 + tail
-            hi = -((-t * up) >> _W)
+            # terms[c] is less than c ulps low, so their sum under c(c - 1)/2 ulps
+            c = len(terms)
+            up = lo + c * (c - 1) // 2 + tail
+            hi = -((-thi * up) >> _W) << s
             settled = settle and up <= goal[1]
-        lo = (t * lo) >> _W
+        lo = (tlo * lo) >> _W << s
         bounds = (self.total - hi if above else lo), hi - lo
         if not settled:
             self._bounds[i] = bounds
@@ -866,22 +886,30 @@ def _jump(ctx: RankContext, word: bytes) -> Optional[Decision]:
 
     All binom(m, i) words of weight i at the last idle checkpoint m survive,
     so at n, at weight k, the rank lies in [P(i), P(i) + t), t = binom(m,
-    i) binom(n - m, k - i) and P(i) = prefix_weight(i). If that interval
-    lies below da or at or above db, the word decides there, on prefix
-    bounds whose walk stops once they settle that (_walk_bounds): bounds
-    are sound wherever the walk stops, so the decision is the rank loop's.
+    i) binom(n - m, k - i) and P(i) = prefix_weight(i), 0 at i = ilo. If
+    that interval lies below da or at or above db, the word decides there,
+    on prefix bounds whose walk stops once they settle that (_walk_bounds).
+    The test runs at the scale of a bracket on t, the product of the top
+    2 _W bits of each factor, rounded down and up, which stands in for t.
+    Bracket and bounds are sound wherever the walk stops, so the decision
+    is the rank loop's.
     """
     points = ctx._idle_points
     if not points or points[-1] < _JUMP_FROM:
         return None
     m, n = points[-1], len(word)
-    # bytes count the ones in a slice without copying it
-    ones = word.count(1, 0, m)
-    k = ones + word.count(1, m, n)
+    bits = np.frombuffer(word, np.uint8)
+    ones = int(np.count_nonzero(bits[:m]))
+    k = ones + int(np.count_nonzero(bits[m:]))
     data = ctx.level_data(len(points), m, n, k)
-    t = ctx.binom(m, ones) * ctx.binom(n - m, k - ones)
+    # t's bracket (lo, hi, s), lo 2**s <= t <= hi 2**s, from the top 2 _W
+    # bits of each factor: the factors' full product is never formed
+    x, y = ctx.binom(m, ones), ctx.binom(n - m, k - ones)
+    sx, sy = max(x.bit_length() - 2 * _W, 0), max(y.bit_length() - 2 * _W, 0)
+    x, y = x >> sx, y >> sy
+    t = x * y, (x + (sx > 0)) * (y + (sy > 0)), sx + sy
     lo, err = data.prefix_bounds(ones, t)
-    if lo + err + t <= data.da_hi - data.ta_err:
+    if lo + err + (t[1] << t[2]) <= data.da_hi - data.ta_err:
         return _ONE
     if lo >= data.db_hi:
         return _ZERO

@@ -408,8 +408,9 @@ def test_large_jump_replica_takes_no_exact_prefix(monkeypatch):
 
 
 def test_a_large_jump_replica_decided_on_its_jump_walks_once(monkeypatch):
-    # the replica draws through the idle prefix and bounds its rank at
-    # 2**15 by that level's one prefix walk, without entering the rank loop
+    # the replica draws its first 2**15 bits in one chunk and bounds its
+    # rank there by that level's one prefix walk, without entering the rank
+    # loop
     walks, runs = [], []
     walk, rank_run = _LevelData._walk_bounds, engine._rank_run
     monkeypatch.setattr(_LevelData, "_walk_bounds", lambda self, *a: walks.append(self.n)
@@ -422,8 +423,8 @@ def test_a_large_jump_replica_decided_on_its_jump_walks_once(monkeypatch):
 
 
 def test_a_replaying_large_jump_replica_builds_its_first_active_level_once(monkeypatch):
-    # seed 38's jump interval at 2**15 crosses a count, so the run replays
-    # its chunks in the rank loop, which takes the level the jump built,
+    # seed 38's jump interval at 2**15 crosses a count, so rank_word ranks
+    # the word in the rank loop, which takes the level the jump built,
     # kept as the context's last level above 2**14, with its prefix walk
     builds, walks, runs = [], [], []
     init, walk, rank_run = _LevelData.__init__, _LevelData._walk_bounds, engine._rank_run
@@ -523,7 +524,7 @@ def test_simulate_jumps_an_idle_prefix_as_the_rank_loop_ranks_it(name, seed, cap
     # tapes that end before, at and past the first active checkpoint
     # 2**12, under caps and on a level refused at 2**12; and one word whose
     # rank at 2**12 lies a step or two from da or db, so the jump's
-    # interval crosses it and the run replays its chunks in the rank loop
+    # interval crosses it and rank_word ranks the word in the rank loop
     schedule, ctx = _idle_jump_schedules(name)
     rng = random.Random(seed)
     words = []
@@ -947,6 +948,45 @@ def test_a_settling_prefix_walk_decides_only_as_the_exact_prefix_weight(width, m
         assert (lo, err) == level._bounds[i] == full
 
 
+@pytest.mark.parametrize("width", [engine._W, 8])
+@settings(deadline=None)
+@given(st.integers(min_value=engine._JUMP_FROM, max_value=1 << 12),
+       st.integers(min_value=1, max_value=1 << 12), st.data())
+def test_an_idle_jump_decides_only_as_the_exact_block(width, m, d, data):
+    # _jump itself, on an idle prefix of m bits and its first active
+    # checkpoint n = m + d: with da and db placed close to either side of
+    # the exact P(i) + t and P(i), by shares of t or of P(i) + t (the
+    # scale of the walk's own error), including the row ends i = ilo
+    # (P = 0) and i = ihi, its scaled test may decide One only if
+    # P(i) + t <= da and Zero only if P(i) >= db, and at full width it
+    # decides every block that lies clear of both
+    n = m + d
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_W", width)
+        k = data.draw(st.integers(min_value=0, max_value=n))
+        schedule = EnvelopeSchedule("jump", {}, lambda j: (m, n)[j] if j < 2 else None,
+                                    lambda n, k: (Fraction(1, 4), Fraction(3, 4)),
+                                    idle_below=m + 1)
+        ctx = schedule.rank_context
+        level = ctx.level_data(1, m, n, k)
+        assume(level.bounded)
+        ilo, ihi = level._ilo, level._ihi
+        i = data.draw(st.one_of(st.sampled_from([ilo, ihi]), st.integers(ilo, ihi)))
+        t = comb(m, i) * comb(d, k - i)
+        exact = _LevelData(ctx, m, n, k).prefix_weight(i)
+        scale = data.draw(st.sampled_from([t, exact + t]))
+        level.da_hi = _near(data, exact + t, scale)
+        level.db_hi = _near(data, exact, scale)
+        word = bytes([1] * i + [0] * (m - i) + [1] * (k - i) + [0] * (d - k + i))
+        decision = engine._jump(ctx, word)
+    assert decision is not Decision.OutputOne or exact + t <= level.da_hi - level.ta_err
+    assert decision is not Decision.OutputZero or exact >= level.db_hi
+    margin = (t >> 64) + 2
+    clear = exact + t + margin <= level.da_hi - level.ta_err or exact >= level.db_hi + margin
+    if width == engine._W and clear:
+        assert decision is not None
+
+
 def test_a_settling_walk_stops_where_the_jump_is_decided(monkeypatch):
     # at large_jump's first active level most replicas' blocks lie far
     # from da and db (seed 0's included), so the walk stops within a few
@@ -1140,9 +1180,10 @@ def test_row_memo_steps_exactly_both_ways_and_keeps_to_its_budget(monkeypatch, r
 
 
 def test_doubler_runs_step_their_large_binomials_from_the_row_memo(monkeypatch):
-    # a run draws through the idle prefix and ranks first at n0 = 2**17,
-    # on binom(2**16, i) and binom(2**16, k - i), whose product bounds its
-    # rank and anchors the prefix walk, and the level's total binom(2**17, k).
+    # a run draws its first n0 = 2**17 bits in one chunk and ranks first
+    # there, on binom(2**16, i) and binom(2**16, k - i), whose top bits
+    # bracket the block's width for the prefix walk, and the level's total
+    # binom(2**17, k).
     # The first run takes these 3, and the next runs' k lie within
     # _STEP_MAX of them
     fresh = []
@@ -1210,6 +1251,21 @@ def test_doubler_runs_at_p_one_tenth_are_pinned():
     sched = doubling_schedule(DoublingParams(Fraction(3, 25)))
     outcomes = [simulate(sched, GeneratorSource(seed, Fraction(1, 10))) for seed in (3, 4, 10)]
     assert [(o.bit, o.tosses) for o in outcomes] == [(0, 131072), (1, 131072), (1, 131072)]
+
+
+def test_idle_jump_outcomes_are_pinned():
+    # recorded while the idle jump still tested its block on the exact
+    # product t and exact prefix thresholds: 1,000 large_jump replicas, 19
+    # of whose blocks cross a count and go to rank_word, and 200 doubler
+    # bits at p = 1/10 (seeds 1 to 200), every one decided at n0
+    replicas = _outcomes(smooth_schedule(lipschitz_params(Fraction(1, 250))), Fraction(3, 10),
+                         1000, 29, 1 << 15)
+    doubler = doubling_schedule(DoublingParams(Fraction(3, 25)))
+    bits = [simulate(doubler, GeneratorSource(seed, Fraction(1, 10))) for seed in range(1, 201)]
+    digests = [hashlib.sha256(json.dumps(part).encode("ascii")).hexdigest()
+               for part in (replicas, [(o.bit, o.tosses) for o in bits])]
+    assert digests == ["62ff36c62ea13cd1c1f25b986209839824bb0e8aa950af5d7eaa314eb6785b23",
+                       "46933a8661afed987d428a1e27f293435fae86bf01a81d6c34a6e109dfdbc7ff"]
 
 
 # --- validation ----------------------------------------------------------------
@@ -1515,8 +1571,8 @@ def test_checkpoints_that_do_not_increase_from_one_are_refused():
     # a stalled checkpoint drew 0 bits forever in the rank loop, and hung
     # the schedule's constructor when it fell among the idle checkpoints;
     # the cases reach the refusal through the first-active word memo, the
-    # constructor, the plain rank loop and an idle jump's replay, and
-    # include checkpoints of 0 and -1
+    # constructor, the plain rank loop and the rank loop resumed past an
+    # idle jump's 256-bit prefix, and include checkpoints of 0 and -1
     try:
         proc = subprocess.run([sys.executable, "-c", STALLED_CHECKPOINTS],
                               capture_output=True, text=True, timeout=60)
