@@ -8,8 +8,10 @@ at the default settings the script takes about 1 s, and with
 --eps 1/20 (first active checkpoint 2^21) --width-steps 1 about 5 s
 (2 cores, Python 3.11.7). A run that continues past the first active
 checkpoint ranks the next level on a term walk of about 2,900 terms out
-from the mode instead of its 65,537 exact terms: with --seed 147 the run
-continues at n0 and decides at 2*n0 in about 1 s.
+from the mode, weighed by the row's (alpha, beta), instead of its 65,537
+exact terms: with --seed 147 the run continues at n0 and decides at 2*n0
+in about 0.1 s, and with --seed 7 it continues to 2^23 tosses in about
+11 s.
 
 The default p = 1/4 lies outside double:3/25's fast region. The
 doubler's margin needs q <= 1/2 - 4*eps = 0.02, and the sqrt-hinge

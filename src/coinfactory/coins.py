@@ -268,10 +268,6 @@ class TapeSource(CoinSource):
         self.position = 0
         self.tosses_consumed = 0
 
-    @property
-    def length(self) -> int:
-        return len(self.bits)
-
     def _exhausted(self) -> SourceExhausted:
         return SourceExhausted(f"tape of length {len(self.bits)} fully consumed")
 

@@ -20,13 +20,14 @@ of a few hundred terms out from the terms' mode, all taken by the one
 walker that also takes float-with-bound's pmf walk (_walk): an idle level
 bounds its prefix weights, and a non-idle one in the unit class (0 <=
 alpha <= beta <= 1 on the row it jumps from) also its carried mass, and
-so da and db. The exact sums, one pass over the level's terms for idle
-and non-idle levels alike, are the fallback, built only when the bounds'
-error alone keeps the interval crossing a count once every rank is read,
-or when validate_schedule meets a consistency check that the bounds
-leave open. A run refuses a level
-whose bounds refute a check; one they leave open it takes on the exact
-sums if it builds them, and passes otherwise.
+so da and db, weighing each term by that row's (alpha, beta) as
+float-with-bound does, with no count or binomial of the row. The exact
+sums, one pass over the level's terms for idle and non-idle levels
+alike, are the fallback, built only when the bounds' error alone keeps
+the interval crossing a count once every rank is read, or when
+validate_schedule meets a consistency check that the bounds leave open.
+A run refuses a level whose bounds refute a check; one they leave open
+it takes on the exact sums if it builds them, and passes otherwise.
 
 The counts and level sums a run memoizes depend on the schedule alone,
 so each schedule owns one RankContext that all its runs share, and only
@@ -112,8 +113,9 @@ class EnvelopeSchedule:
     ab_fn(n, k) returns the rational envelope pair (alpha, beta), and
     counts() rounds it against b = binom(n, k) here, in one place:
     count_a = floor(alpha*b), count_b = ceil(beta*b). The float-with-bound
-    evaluator works from (alpha, beta) and relies on exactly this rounding
-    to bound the difference from the counts. b is an optional
+    evaluator and the walked levels' sums (_LevelData._walk_sums) work
+    from (alpha, beta) and rely on exactly this rounding to bound the
+    difference from the counts. b is an optional
     precomputed binom(n, k), so row walks can thread incremental binomials
     instead of recomputing them. Checkpoints below idle_below are idle:
     (alpha, beta) = (0, 1), counts (0, binom(n,k)). Every run of the
@@ -255,9 +257,9 @@ class _LevelData:
     idle level has ta = 0 and total = binom(n, k) exactly and bounds each
     prefix weight by a walk from it (_walk_bounds). A non-idle level whose
     row m is in the schedule's unit class bounds ta, total and every
-    prefix weight by one walk out from the mode on each side
-    (_walk_sums); da lies in [da_hi - ta_err, da_hi] and db in
-    [db_hi - ta_err, db_hi]. Every other non-idle level is summed exactly
+    prefix weight by one walk out from the mode on each side, weighed by
+    row m's (alpha, beta) (_walk_sums); da lies in [da_hi - ta_err,
+    da_hi] and db in [db_hi - ta_err, db_hi]. Every other non-idle level is summed exactly
     when built, and its ta_err is 0. Exact sums and prefix weights, idle
     or not, come from one pass over the terms (_build).
     """
@@ -443,23 +445,29 @@ class _LevelData:
         """(lo, err) bounding ta, from one walk over the terms of a non-idle level.
 
         _walk_out carries each side's terms t(i) relative to the exact t0
-        at the mode, up to ihi and, mirrored, down to ilo, and each term is
-        weighted by count(m, i) / binom(m, i) in _W fractional bits, rounded
-        down and memoized on the context. In the unit class the terms a
-        side skips have weights in [0, 1]. Keeps t0, the gap's lower running
-        sums (_cum, from i = _cum_at) and one error bound for every prefix
-        weight (_perr). Returns None, for the exact sums, if a weight it
-        visits lies outside [0, 1].
+        at the mode, up to ihi and, mirrored, down to ilo. As
+        float-with-bound weights its pmf, each term is weighted by alpha
+        and beta - alpha of ab_values(m, i) in _W fractional bits, rounded
+        down and memoized on the context, so no binom(m, i) or count of row
+        m is formed. count_a(m, i) lies in (alpha b - 1, alpha b] and
+        count_b - count_a in [(beta - alpha) b, (beta - alpha) b + 2), b =
+        binom(m, i), so ta lies less than R = sum binom(d, k - i) over the
+        visited i below its alpha-sum, and the gap less than 2 R above its
+        own; R is bounded by the visited width times the largest such
+        binomial. In the unit class the terms a side skips have weights in
+        [0, 1]. Keeps t0, the gap's lower running sums (_cum, from i =
+        _cum_at) and one error bound for every prefix weight (_perr).
+        Returns None, for the exact sums, if a pair it visits lies outside
+        0 <= alpha <= beta <= 1.
         """
         ctx, m, d, k = self._ctx, self.m, self.d, self.k
         mode = min(max((k + 1) * (m + 1) // (self.n + 2), self._ilo), self._ihi)
         # a run reaching this level has often taken both binomials, as the
         # last level's total or as chunk sizes: up to BINOM_CACHE_LIMIT they
         # are cached, and above it the context's row memo steps from them
-        bm = ctx.binom(m, mode)
-        t0 = bm * ctx.binom(d, k - mode)
+        t0 = ctx.binom(m, mode) * ctx.binom(d, k - mode)
         one = 1 << _W
-        row = ctx._ratios[m]
+        row, ab = ctx._ratios[m], ctx.schedule.ab_values
         ta_lo = tail = slack = 0
         up, down = [], []
         for gaps, step, walk in ((up, 1, (m, d, k, mode)), (down, -1, (d, m, k, k - mode))):
@@ -471,25 +479,16 @@ class _LevelData:
             # 2 * _W fractional bits
             s = len(tls)
             slack += s * one + (one + 1) * s * (s - 1) // 2
-            # binom(m, i) at the last ratio missed, stepped to the next miss
-            last, bval = mode, bm
             # the up side takes the mode's term, the down side starts past it
             for s in range(step < 0, len(tls)):
                 i = mode + step * s
                 w = row.get(i)
                 if w is None:
-                    if last == i - 1:
-                        bval = bval * (m - i + 1) // i
-                    elif last == i + 1:
-                        bval = bval * (i + 1) // (m - i)
-                    else:
-                        bval = binom(m, i)
-                    last = i
-                    ca, cb = ctx.counts(m, i, bval)
-                    w = row[i] = ((ca << _W) // bval, ((cb - ca) << _W) // bval)
+                    alpha, beta = ab(m, i)
+                    if not 0 <= alpha <= beta <= 1:
+                        return None
+                    w = row[i] = floor_frac_mul(alpha, one), floor_frac_mul(beta - alpha, one)
                 ra, rg = w
-                if ra < 0 or rg < 0 or ra + rg > one:
-                    return None
                 ta_lo += tls[s] * ra
                 gaps.append(tls[s] * rg)
         down.reverse()
@@ -499,35 +498,38 @@ class _LevelData:
             total += g
             cum.append(total >> _W)
         self._t0, self._cum = t0, cum
+        # binom(d, j) over the visited j = k - i peaks at the j nearest d / 2
+        jlo, jhi = k - (mode + len(up) - 1), k - self._cum_at
+        r = (jhi - jlo + 1) * ctx.binom(d, min(max(d // 2, jlo), jhi))
         # a running sum also loses under one ulp to its shift
-        self._perr = -(-t0 * (1 + (-(-slack >> _W)) + tail) >> _W) + 1
-        return (t0 * ta_lo) >> 2 * _W, -(-t0 * (slack + (tail << _W)) >> 2 * _W) + 1
+        self._perr = -(-t0 * (1 + (-(-slack >> _W)) + tail) >> _W) + 1 + 2 * r
+        return ((t0 * ta_lo) >> 2 * _W) - r, -(-t0 * (slack + (tail << _W)) >> 2 * _W) + 1 + r
 
     def _walk_bounds(self, i: int, t: Optional[int | tuple] = None) -> tuple[int, int]:
         """prefix_bounds(i) of a bounded idle level, from one term walk.
 
-        t(i') = binom(m, i') binom(d, k - i'). Above the mode the prefix
-        is total minus the sum S of the terms from t(i) up; below it, S
-        is the sum of the mirrored terms from t(i - 1) down. Either way
-        the walk moves away from the mode, and S lies in [t L, t U] / 2**_W,
-        t its first term, L the walk's lower sum and U that plus its
-        rounding and tail. A run reaching this level has taken binom(m, i)
-        (the last level's total) and binom(d, k - i) (this chunk's size),
-        so t(i) costs no new binomial up to BINOM_CACHE_LIMIT, and above
-        it the context's row memo keeps both.
+        t(i') = binom(m, i') binom(d, k - i'). The walk starts at t(i) and
+        moves away from the mode: above it (i past the mode) up, its sum S
+        of the terms from t(i) up being total minus the prefix; at or below
+        it, mirrored, down, S being the prefix plus t(i), the walk's first
+        term, exactly 2**_W in its units. S lies in [t L, t U] / 2**_W, L the walk's lower
+        sum and U that plus its rounding and tail. A run reaching this
+        level has taken binom(m, i) (the last level's total) and binom(d, k
+        - i) (this chunk's size), so t(i) costs no new binomial up to
+        BINOM_CACHE_LIMIT, and above it the context's row memo keeps both.
 
         A run that jumps an idle prefix to this level passes t(i), exact or
-        as a bracket (lo, hi, s) with lo 2**s <= t(i) <= hi 2**s (_jump's).
-        Its rank lies in [P(i), P(i) + t(i)), and it decides One if P(i) +
-        hi 2**s <= da_hi - ta_err, Zero if P(i) >= db_hi. Both thresholds
-        are cut to the bracket's scale, 2**s, and put in the walk's units
-        by a division of small integers, so the walk can stop once L or U
-        clears one (_walk_out), most often within a few terms of i. Its
-        bounds are sound, at the bracket's scale, and settle the jump as
-        _jump tests them, and are not kept. A walk that settles nothing
-        runs on to _walk_out's one-ulp stop, as when no t is given, and
-        its bounds are kept for the rank loop that ranks the run's word
-        (rank_word).
+        as a bracket (lo, hi, s) with lo 2**s <= t(i) <= hi 2**s (_jump's),
+        which is the walk's own anchor. Its rank lies in [P(i), P(i) +
+        t(i)), and it decides One if P(i) + hi 2**s <= da_hi - ta_err, Zero
+        if P(i) >= db_hi. Both thresholds are cut to the bracket's scale,
+        2**s, and put in the walk's units by a division of small integers,
+        so the walk can stop once L or U clears one (_walk_out), most often
+        within a few terms of i. Its bounds are sound, at the bracket's
+        scale, and settle the jump as _jump tests them, and are not kept. A
+        walk that settles nothing runs on to _walk_out's one-ulp stop, as
+        when no t is given, and its bounds are kept for the rank loop that
+        ranks the run's word (rank_word).
         """
         m, d, k, ctx = self.m, self.d, self.k, self._ctx
         settle = t is not None
@@ -536,27 +538,21 @@ class _LevelData:
         tlo, thi, s = (t, t, 0) if t.__class__ is int else t
         # the jump decides One once P(i) <= one, Zero once P(i) >= zero
         one, zero = self.da_hi - self.ta_err - (thi << s), self.db_hi
-        above = i - 1 > (k + 1) * (m + 1) // (self.n + 2)
+        above = i > (k + 1) * (m + 1) // (self.n + 2)
         if above:
-            walk = m, d, k, i
             # P(i) = total - S: settled once S reaches reach or falls to fall
+            walk, first = (m, d, k, i), 0
             reach, fall = self.total - one, self.total - zero
         else:
-            walk = d, m, k, k - i + 1
-            # t(i - 1) = t(i) num / den, and num > 0 as i > ilo; at s = 0
-            # the bracket is exact, and so is the division
-            num, den = i * (d - k + i), (m - i + 1) * (k - i + 1)
-            tlo = tlo * num // den
-            thi = -(-thi * num // den) if s else tlo
+            # P(i) = S - t(i): the goals and sums leave out the first term
+            walk, first = (d, m, k, k - i), 1 << _W
             reach, fall = zero, one
         goal = ()
         if settle:
             # S's bounds are floor(tlo L / 2**_W) and ceil(thi U / 2**_W) at
-            # scale 2**s: S >= reach iff L >= low, S <= fall iff U <= high.
-            # tlo > 0, as t is exact or a factor keeps its top 2 _W bits,
-            # against den <= (m + 1)(k + 1)
+            # scale 2**s: S >= reach iff L >= low, S <= fall iff U <= high
             reach, fall = -(-reach >> s), fall >> s
-            goal = -((-reach << _W) // tlo), (fall << _W) // thi
+            goal = -((-reach << _W) // tlo) + first, (fall << _W) // thi + first
         terms, tail = _walk_out(*walk, *goal)
         lo = sum(terms)
         if tail is None:
@@ -566,9 +562,9 @@ class _LevelData:
             # terms[c] is less than c ulps low, so their sum under c(c - 1)/2 ulps
             c = len(terms)
             up = lo + c * (c - 1) // 2 + tail
-            hi = -((-thi * up) >> _W) << s
+            hi = -((-thi * (up - first)) >> _W) << s
             settled = settle and up <= goal[1]
-        lo = (tlo * lo) >> _W << s
+        lo = (tlo * (lo - first)) >> _W << s
         bounds = (self.total - hi if above else lo), hi - lo
         if not settled:
             self._bounds[i] = bounds
@@ -644,7 +640,7 @@ class RankContext:
     """A schedule plus memo caches shared across runs.
 
     It memoizes the counts of rows up to BINOM_CACHE_LIMIT, each row's
-    weights count(m, i) / binom(m, i) in _W bits, the levels up to
+    walk weights (alpha, beta - alpha) in _W bits, the levels up to
     BINOM_CACHE_LIMIT and the last one built above it, and, for each row
     above it, at most _ROW_KEEP exact binomials of at most _ROW_BITS bits
     (32 KB) in all, the least recently used dropped first (binom). It
@@ -668,8 +664,8 @@ class RankContext:
         # {n: {k: binom(n, k)}} for rows above BINOM_CACHE_LIMIT, least
         # recently used first
         self._binoms: dict = defaultdict(dict)
-        # {m: {i: (count_a / binom(m, i), (count_b - count_a) / binom(m, i))}}
-        # in _W fractional bits rounded down, for every m: the values are small
+        # {m: {i: (alpha, beta - alpha)}} of ab_values(m, i) in _W fractional
+        # bits rounded down, for every m: the values are small
         self._ratios: dict = defaultdict(dict)
         self._levels: dict = {}
         # the key of the one level above BINOM_CACHE_LIMIT in _levels
@@ -785,10 +781,7 @@ def _rank_run(ctx: RankContext, draw: Callable[[int], Sequence[int]],
         d = n - pos
         size = comb(d, new_ones - ones) if d <= BINOM_CACHE_LIMIT else ctx.binom(d, new_ones - ones)
         # r = prefix_weight + (r_prev - da_prev) * size + lexrank(chunk)
-        if data.bounded:
-            plo, perr = data.prefix_bounds(ones)
-        else:
-            plo, perr = data.prefix_weight(ones), 0
+        plo, perr = data.prefix_bounds(ones)
         lo = plo + lo * size
         err = perr + err * size
         width *= size

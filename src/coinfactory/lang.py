@@ -310,8 +310,6 @@ def _prem(a, b):
         if a and a[-1] == 0:
             a.pop()
             continue
-        if len(a) < len(b):
-            break
         q = a[-1] / b[-1]
         shift = len(a) - len(b)
         for i in range(len(b)):

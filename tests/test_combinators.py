@@ -105,6 +105,18 @@ def test_scalar_mul_interval():
     assert plan_bias_interval(plan, Fraction(1, 3)) == (Fraction(1, 2), Fraction(1, 2))
 
 
+@pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(1)])
+def test_scalar_mul_at_most_one_takes_no_doubler(tmp_path, a):
+    # a < 1 runs as a product with a constant coin, a = 1 as the child itself
+    plan = scalar_mul_plan(a, identity_plan(), backend=("exact",))
+    for p in (Fraction(1, 5), Fraction(2, 3)):
+        assert plan_bias_interval(plan, p) == (a * p, a * p)
+    assert combinators._plan_poly(plan) == (0, a)
+    path = tmp_path / "scaled.json"
+    save_plan(plan, path)
+    assert plan_hash(load_plan(path)) == plan_hash(plan)
+
+
 def test_series_constant_coeffs_closed_form():
     # sum of (1/8) q^n at q = 1/4 is (1/8)/(3/4) = 1/6
     plan = series_plan(ConstantCoeffs(Fraction(1, 8)), Fraction(1, 2), Fraction(1, 8),

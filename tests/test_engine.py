@@ -1061,12 +1061,12 @@ def test_walkers_outputs_are_pinned():
         "78680f0fd2a116c64793d9c93567e287a34fae714d146f37fed2e7583793d774"
 
 
-def _random_unit_schedule(seed):
-    # checkpoints at arbitrary lengths up to 300 and, at every cell, some
-    # 0 <= alpha <= beta <= 1: the consistency checks fail, but the bounds
-    # must hold whatever the counts
+def _random_unit_schedule(seed, points=None):
+    # checkpoints at arbitrary lengths up to 300, unless given, and, at
+    # every cell, some 0 <= alpha <= beta <= 1: the consistency checks
+    # fail, but the bounds must hold whatever the counts
     rng = random.Random(seed)
-    points = sorted(rng.sample(range(2, 301), 8))
+    points = points or sorted(rng.sample(range(2, 301), 8))
 
     def ab(n, k):
         cell = random.Random(seed * 1_000_003 + n * 1009 + k)
@@ -1123,6 +1123,46 @@ def test_walk_bounds_stay_sound_at_the_row_ends(monkeypatch, width):
                     _check_level_bounds(level)
                     walked += 1
     assert walked > 1000 and any(ends) and not all(ends)
+
+
+@pytest.mark.parametrize("width", [engine._W, 8])
+@pytest.mark.parametrize("points", [[3, 400], [20, 300]])
+def test_walk_sums_stay_sound_from_a_short_source_row(monkeypatch, width, points):
+    # each walked count misses its real value alpha b or beta b by under
+    # one, b = binom(m, i), so the carried mass carries up to binom(d, k -
+    # i) more error a term than the weights alpha and beta - alpha alone,
+    # and the gap twice that: on a short row m that is most of the error.
+    # With alpha and beta 1/1000 either side of 1/3, a gap count at b = 3
+    # is 2 where (beta - alpha) b is 0.006, nearly the most it can miss by
+    m, n = points
+    near_third = EnvelopeSchedule(
+        "near_third", {}, lambda j: points[j] if j < 2 else None,
+        ab_fn=lambda n, k: (Fraction(1, 3) - Fraction(1, 1000), Fraction(1, 3) + Fraction(1, 1000)))
+    monkeypatch.setattr(engine, "_W", width)
+    walked = 0
+    for schedule in (_random_unit_schedule(1, points), _random_unit_schedule(2, points), near_third):
+        ctx = RankContext(schedule)
+        for k in range(n + 1):
+            level = _LevelData(ctx, m, n, k)
+            if level.bounded and not level._idle:
+                _check_level_bounds(level)
+                walked += 1
+    assert walked > 100
+
+
+def test_a_walked_level_rounds_no_count_of_its_source_row(monkeypatch):
+    # the walk weighs row 2**11 by its (alpha, beta) in fixed point, as
+    # float-with-bound does: the one count the level rounds is its own
+    # cell's, count(2**12, 1229)
+    schedule, ctx = _walked_jump_schedule()
+    calls = []
+    counts = schedule.counts
+    monkeypatch.setattr(schedule, "counts",
+                        lambda n, k, b=None: calls.append((n, k)) or counts(n, k, b))
+    level = ctx.level_data(12, 2048, 4096, 1229)
+    assert level.bounded and not level._idle and level.ta_err > 0
+    assert calls == [(4096, 1229)]
+    _check_level_bounds(level)
 
 
 # --- count rounding and binomials ------------------------------------------------

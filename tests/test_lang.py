@@ -221,6 +221,34 @@ def test_sharp_ratio_fallback_bounds_whole_sliver():
     assert iv.hi >= Fraction(1, 4)
 
 
+def test_sharp_ratio_range_brackets_an_interior_critical_point():
+    # p / (2p^2 + 1/4) rises to 1/sqrt(2) at p = 1/sqrt(8), inside the
+    # domain: the maximum comes from the enclosure of a sliver around that
+    # irrational root, the minimum from the end p = 1/10
+    ast = parse("p / (2*p^2 + 1/4)")
+    annot, diags = analyze_bounds(ast, DOM)
+    assert diags.ok
+    iv = annot[ast]
+    assert iv.lo == Fraction(10, 27)
+    # 1/sqrt(2) <= hi <= 1/sqrt(2) + 2**-40
+    assert iv.hi ** 2 >= Fraction(1, 2) >= (iv.hi - Fraction(1, 1 << 40)) ** 2
+    plan = compile_to_plan(ast, DOM, backend=("exact",))
+    assert plan_bias_interval(plan, Fraction(1, 5)) == (Fraction(20, 33), Fraction(20, 33))
+
+
+def test_sharp_ratio_range_takes_a_critical_point_at_the_domain_end_exactly():
+    # p / (8p^2 + 2/25) peaks at p = 1/10, the domain's lower end, where the
+    # critical polynomial 2/25 - 8p^2 has a rational root: the range is
+    # exactly [f(1/4), f(1/10)]
+    dom = Interval(Fraction(1, 10), Fraction(1, 4))
+    ast = parse("p / (8*p^2 + 2/25)")
+    annot, diags = analyze_bounds(ast, dom)
+    assert diags.ok
+    assert annot[ast] == Interval(Fraction(25, 58), Fraction(5, 8))
+    plan = compile_to_plan(ast, dom, backend=("exact",))
+    assert plan_bias_interval(plan, Fraction(1, 5)) == (Fraction(1, 2), Fraction(1, 2))
+
+
 def _eval(node, p: Fraction) -> Fraction:
     if isinstance(node, NumberLiteral):
         return node.value
