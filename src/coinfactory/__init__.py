@@ -15,6 +15,7 @@ from .combinators import (
     FactoryPlan,
     PlanBounds,
     average,
+    bernstein_plan,
     bounds,
     complement,
     constant_plan,

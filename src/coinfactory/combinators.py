@@ -1,7 +1,9 @@
 """Factory plans: an algebra of exact coin transformations.
 
 A plan is an immutable tree. Leaves draw coin bits (Identity), emit
-rational constants from fair bits (Const), or run an envelope schedule
+rational constants from fair bits (Const), toss a polynomial in p given
+by its Bernstein coefficients in [0, 1] (Bernstein: n raw tosses, then
+the constant coin of the count of ones), or run an envelope schedule
 (Envelope). Interior nodes combine children: logical AND for products,
 a fair-bit select for averages, complement, and a probability doubler
 that feeds its child's outputs to either the exact envelope engine or
@@ -9,7 +11,7 @@ the approximate walk. Sums, differences, scalar multiples and power
 series are derived forms that expand into those primitives; the derived
 node kinds keep their own identity for serialization but execute through
 a hidden expansion built at construction time. A quotient f/g runs as a
-Bernoulli race between f and an exact coin for g - f whenever that
+Bernoulli race between f and a Bernstein coin for g - f whenever that
 difference is a polynomial with a Bernstein form in [0, 1]; otherwise it
 too expands into a rescaling chain.
 
@@ -38,7 +40,15 @@ from .errors import (
     InvalidParams,
     MarginViolated,
 )
-from .numerics import bernstein_coeffs, poly_add, poly_eval, poly_mul, poly_norm, poly_sub
+from .numerics import (
+    bernstein_coeffs,
+    bernstein_poly,
+    poly_add,
+    poly_eval,
+    poly_mul,
+    poly_norm,
+    poly_sub,
+)
 from .schedules import DoublingParams, doubling_schedule, monomial_schedule
 from .walk import WalkConfig, approx_double_bit, walk_error_bound
 
@@ -134,6 +144,32 @@ def constant_plan(c, domain: PlanBounds = UNIVERSAL) -> FactoryPlan:
         raise InvalidParams("constant must lie in [0, 1]")
     plan = FactoryPlan("const", domain, PlanBounds(c, c, "propagated"), data=(("c", c),))
     plan._cache["ratio"] = (c.numerator, c.denominator)
+    return plan
+
+
+# Highest degree of a Bernstein coin, in a race or a compiled polynomial;
+# each toss of the coin costs `degree` raw tosses plus one constant coin.
+BERNSTEIN_MAX_DEGREE = 64
+
+
+def bernstein_plan(coeffs, domain: PlanBounds = UNIVERSAL) -> FactoryPlan:
+    """Coin of bias sum_k b_k C(n, k) p**k (1-p)**(n-k), every b_k in [0, 1].
+
+    A run makes n raw tosses and, seeing k ones, tosses the constant coin
+    b_k (Keane & O'Brien 1994; Goyal & Sigman 2012). The bias is exact and
+    lies between the least and the greatest b_k.
+    """
+    b = tuple(Fraction(v) for v in coeffs)
+    if not b:
+        raise InvalidParams("a Bernstein coin needs at least one coefficient")
+    if len(b) - 1 > BERNSTEIN_MAX_DEGREE:
+        raise InvalidParams(f"Bernstein degree {len(b) - 1} exceeds {BERNSTEIN_MAX_DEGREE}")
+    if not all(0 <= v <= 1 for v in b):
+        raise InvalidParams("Bernstein coefficients must lie in [0, 1]")
+    plan = FactoryPlan("bernstein", domain, PlanBounds(min(b), max(b), "propagated"),
+                       data=(("b", b),))
+    plan._cache["coins"] = tuple(constant_plan(v) for v in b)
+    plan._cache["poly"] = bernstein_poly(b)
     return plan
 
 
@@ -420,23 +456,6 @@ def _series_general(gp: FactoryPlan, hp: FactoryPlan, M, backend) -> FactoryPlan
     return plan
 
 
-# Highest Bernstein degree tried for a raced quotient's g - f coin; each
-# toss of that coin costs `degree` raw tosses plus one constant coin.
-_RACE_MAX_DEGREE = 64
-
-
-def _race_coin(f: FactoryPlan, g: FactoryPlan) -> Optional[tuple]:
-    """(h, constant coins b_0..b_n) for an exact h = g - f coin, or None."""
-    pf, pg = _plan_poly(f), _plan_poly(g)
-    if pf is None or pg is None:
-        return None
-    h = poly_sub(pg, pf)
-    coeffs = bernstein_coeffs(h, _RACE_MAX_DEGREE)
-    if coeffs is None:
-        return None
-    return h, tuple(constant_plan(b) for b in coeffs)
-
-
 def quotient_plan(f: FactoryPlan, g: FactoryPlan, eps, M, backend=None,
                   quot_range: Optional[tuple] = None) -> FactoryPlan:
     """f/g given certificates g >= eps, f/g <= 1 - eps, g <= M.
@@ -446,11 +465,11 @@ def quotient_plan(f: FactoryPlan, g: FactoryPlan, eps, M, backend=None,
     or of h; f showing 1 returns 1, h showing 1 returns 0, and otherwise
     the round repeats. The output bias is f/(f+h) = f/g, and each round
     stops with probability g/2 >= eps/2. h is the difference of the
-    children's exact polynomials, run as a one-level Bernstein coin: n raw
-    tosses with k ones pick the constant coin b_k (Goyal & Sigman 2012).
+    children's exact polynomials, run as a bernstein node kept in the
+    node's cache, so it takes no part in the node's JSON or hash.
 
     When a child has no polynomial, or h has no Bernstein form in [0, 1]
-    up to degree _RACE_MAX_DEGREE, the node runs through a rescaling chain
+    up to degree BERNSTEIN_MAX_DEGREE, the node runs through a rescaling chain
     instead: u = 1 - g/(2M) keeps u <= 1 - eps/(2M); the constant-
     coefficient series C/(1-u) with C = eps/(4M) realizes (eps/2)/g as a
     coin (its parameters t = 1 - 3C/2, eps_series = C/4 put the domain
@@ -482,9 +501,12 @@ def quotient_plan(f: FactoryPlan, g: FactoryPlan, eps, M, backend=None,
         children=(f, g),
         data=(("eps", eps), ("M", M), ("backend", _check_backend(backend))),
     )
-    race = _race_coin(f, g)
-    if race is not None:
-        plan._cache["race"] = race
+    pf, pg = _plan_poly(f), _plan_poly(g)
+    b = None
+    if pf is not None and pg is not None:
+        b = bernstein_coeffs(poly_sub(pg, pf), BERNSTEIN_MAX_DEGREE)
+    if b is not None:
+        plan._cache["h"] = bernstein_plan(b)
     else:
         plan._cache["impl"] = _quotient_chain(f, g, eps, M, backend, quot_lo, quot_hi)
     return plan
@@ -644,7 +666,7 @@ def _encode_value(v):
     if isinstance(v, CallbackCoeffs):
         raise InvalidParams("callback coefficient streams are opaque and cannot be serialized")
     if isinstance(v, tuple):
-        return list(v)
+        return [_encode_value(x) for x in v]
     if v is None or isinstance(v, (int, str)):
         return v
     raise InvalidParams(f"unserializable plan datum {v!r}")
@@ -809,29 +831,31 @@ def _load_series(kids: list, data: dict, domain: PlanBounds, stored: PlanBounds)
                         t=Fraction(data["t"]), eps=Fraction(data["eps"]), backend=data["backend"])
 
 
+def _run_bernstein(plan: FactoryPlan, source: CoinSource) -> int:
+    coins = plan._cache["coins"]
+    ones = 0
+    for _ in range(len(coins) - 1):
+        ones += source.next_bit()
+    return _exec(coins[ones], source)
+
+
 def _run_quotient(plan: FactoryPlan, source: CoinSource) -> int:
-    race = plan._cache.get("race")
-    if race is None:
+    h = plan._cache.get("h")
+    if h is None:
         return _exec(plan._cache["impl"], source)
     f = plan.children[0]
-    h_coins = race[1]
-    degree = len(h_coins) - 1
     while True:
         if _von_neumann(source):
             if _exec(f, source):
                 return 1
-        else:
-            ones = 0
-            for _ in range(degree):
-                ones += source.next_bit()
-            if _exec(h_coins[ones], source):
-                return 0
+        elif _exec(h, source):
+            return 0
 
 
 def _bias_race(plan: FactoryPlan, p: Fraction, kids: list) -> tuple:
     # the h-coin is exact and the race's bias f/(f+h) grows with f
     flo, fhi = kids[0]
-    h = poly_eval(plan._cache["race"][0], p)
+    h, _ = _bias(plan._cache["h"], p, {})
     if flo + h == 0:
         # neither coin can show 1 at this p (outside the certified domain)
         return Fraction(0), Fraction(1)
@@ -865,6 +889,12 @@ _KINDS: dict[str, _Kind] = {
         lambda plan, p, kids: (plan.get("c"), plan.get("c")),
         lambda plan, kids: poly_norm((plan.get("c"),)),
         lambda kids, data, domain, stored: constant_plan(Fraction(data["c"]), domain)),
+    "bernstein": _Kind(
+        _run_bernstein,
+        lambda plan, p, kids: (poly_eval(plan._cache["poly"], p),) * 2,
+        lambda plan, kids: plan._cache["poly"],
+        lambda kids, data, domain, stored: bernstein_plan(
+            [Fraction(v) for v in data["b"]], domain)),
     "complement": _Kind(
         lambda plan, source: 1 - _exec(plan.children[0], source),
         lambda plan, p, kids: (1 - kids[0][1], 1 - kids[0][0]),

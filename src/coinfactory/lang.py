@@ -7,7 +7,9 @@ constructors. Interval arithmetic is deliberately conservative, with one
 exception: a quotient node's range is computed sharply from the rational
 function it denotes (critical-point analysis with exact arithmetic),
 because naive division intervals are useless for targets like
-p / (p + 1/5).
+p / (p + 1/5). A sum, difference or scale-up whose exact value is a
+polynomial with a Bernstein form in [0, 1] compiles to one bernstein node,
+which needs no doubler and so no backend.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .combinators import (
+    BERNSTEIN_MAX_DEGREE,
     FactoryPlan,
     PlanBounds,
+    bernstein_plan,
     complement,
     constant_plan,
     difference_plan,
@@ -30,7 +34,7 @@ from .combinators import (
     with_range,
 )
 from .errors import CompileBlocked, ExprSyntaxError, InvalidParams
-from .numerics import poly_add, poly_eval, poly_mul, poly_norm, poly_sub
+from .numerics import bernstein_coeffs, poly_add, poly_eval, poly_mul, poly_norm, poly_sub
 
 # --- AST ---------------------------------------------------------------------
 
@@ -544,8 +548,22 @@ def compile_to_plan(ast: Ast, domain: Interval, backend=None) -> FactoryPlan:
     def scaled(node: Ast, a: Fraction, other: Ast) -> FactoryPlan:
         # c * x, x * c and x / c: the multiple a * x of the other operand
         if a > 1:
-            return scalar_mul_plan(a, build(other), 1 - annot[node].hi, backend)
+            return (polynomial(node)
+                    or scalar_mul_plan(a, build(other), 1 - annot[node].hi, backend))
         return product(constant_plan(a, domain=dom_bounds), build(other))
+
+    def polynomial(node: Ast) -> Optional[FactoryPlan]:
+        # the one Bernstein coin of the node's exact polynomial, or None; its
+        # range is the certified interval cut to the coefficients' span
+        num, den = _polyfrac(node)
+        if len(den) != 1:
+            return None
+        b = bernstein_coeffs(poly_mul(num, (1 / den[0],)), BERNSTEIN_MAX_DEGREE)
+        if b is None:
+            return None
+        iv = annot[node]
+        return with_range(bernstein_plan(b, domain=dom_bounds),
+                          max(iv.lo, min(b)), min(iv.hi, max(b)))
 
     def build_node(node: Ast) -> FactoryPlan:
         if isinstance(node, NumberLiteral):
@@ -562,12 +580,13 @@ def compile_to_plan(ast: Ast, domain: Interval, backend=None) -> FactoryPlan:
             return out
         if isinstance(node, Add):
             eps = 1 - annot[node].hi
-            return sum_plan(build(node.left), build(node.right), eps, backend)
+            return polynomial(node) or sum_plan(build(node.left), build(node.right), eps, backend)
         if isinstance(node, Sub):
             if _literal_value(node.left) == 1:
                 return complement(build(node.right))
             margin = annot[node].lo
-            return difference_plan(build(node.left), build(node.right), margin, backend)
+            return (polynomial(node)
+                    or difference_plan(build(node.left), build(node.right), margin, backend))
         if isinstance(node, Mul):
             la = _literal_value(node.left)
             ra = _literal_value(node.right)

@@ -305,3 +305,13 @@ def bernstein_coeffs(a, max_degree: int):
             return b
     return None
 
+
+def bernstein_poly(b) -> tuple:
+    """Monomial coefficients of sum_k b_k C(n, k) p**k (1-p)**(n-k), n = len(b) - 1.
+
+    The inverse of bernstein_coeffs: a_j = C(n, j) sum_k (-1)**(j-k) C(j, k) b_k.
+    """
+    n = len(b) - 1
+    return poly_norm(tuple(
+        comb(n, j) * sum((b[k] * (-1) ** (j - k) * comb(j, k) for k in range(j + 1)), Fraction(0))
+        for j in range(n + 1)))

@@ -45,15 +45,29 @@ def test_compile_reports_bound_errors(capsys):
 
 
 def test_compile_refuses_an_exact_doubler_that_cannot_run(tmp_path, capsys):
-    # (p*p) - 0 on [1/10, 2/5] needs a doubler with eps' = 1/800, whose
-    # schedule has no first checkpoint below 2**40
+    # (p*p) - 1/200 on [1/10, 2/5] has no Bernstein form (it is negative at
+    # p = 0), so it needs a doubler with eps' = 1/1600, whose schedule has no
+    # first checkpoint below 2**40
     out = tmp_path / "plan.json"
-    rc, text = run(["compile", "(p*p) - 0", "--domain", "1/10:2/5", "--backend", "exact",
+    rc, text = run(["compile", "(p*p) - 1/200", "--domain", "1/10:2/5", "--backend", "exact",
                     "--out", str(out)], capsys)
     assert rc == 2
-    assert text.startswith("error at 0..9: exact doubler with eps' = 1/800: ")
+    assert text.startswith("error at 0..13: exact doubler with eps' = 1/1600: ")
     assert "no admissible first checkpoint" in text
     assert not out.exists()
+
+
+def test_compile_a_polynomial_difference_to_one_bernstein_coin(tmp_path, capsys):
+    # (p*p) - 0 is p^2, whose degree-2 Bernstein coefficients are (0, 0, 1):
+    # one node, with no doubler
+    out = tmp_path / "plan.json"
+    rc, _ = run(["compile", "(p*p) - 0", "--domain", "1/10:2/5", "--backend", "exact",
+                 "--out", str(out)], capsys)
+    assert rc == 0
+    root = json.loads(out.read_text())["root"]
+    assert root["kind"] == "bernstein"
+    assert root["data"]["b"] == ["0/1", "0/1", "1/1"]
+    assert root["children"] == []
 
 
 def test_compile_reports_syntax_errors(capsys):
@@ -169,6 +183,27 @@ def test_verify_plan_bias_interval_overlaps_bracket(tmp_path, capsys):
                     "--p", "1/3"], capsys)
     assert rc == 0
     assert "plan bias interval [1/9, 1/9]" in text
+
+
+def test_verify_a_compiled_bernstein_plan(tmp_path, capsys):
+    plan_path = tmp_path / "cube.json"
+    rc, _ = run(["compile", "(1 - p)^3 + p/2", "--domain", "1/10:2/5", "--backend", "exact",
+                 "--out", str(plan_path)], capsys)
+    assert rc == 0
+    rc, text = run(["verify", "--plan", str(plan_path), "--depth", "12", "--p", "1/5"], capsys)
+    assert rc == 0
+    assert "plan bias interval [153/250, 153/250]" in text
+
+
+def test_a_bernstein_node_outside_unit_coefficients_is_refused(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    run(["compile", "(p*p) - 0", "--domain", "1/10:2/5", "--out", str(plan_path)], capsys)
+    doc = json.loads(plan_path.read_text())
+    doc["root"]["data"]["b"] = ["0/1", "0/1", "3/2"]
+    plan_path.write_text(json.dumps(doc))
+    rc, text = run(["verify", "--plan", str(plan_path), "--depth", "2", "--p", "1/3"], capsys)
+    assert rc == 3
+    assert text.splitlines() == ["error: Bernstein coefficients must lie in [0, 1]"]
 
 
 def test_verify_walk_doubler_outside_its_bound_is_one_error_line(tmp_path, capsys):

@@ -20,6 +20,7 @@ from coinfactory import (
     SmoothnessParams,
     TapeSource,
     average,
+    bernstein_plan,
     bounds,
     compile_to_plan,
     complement,
@@ -191,6 +192,14 @@ def test_quotient_guards():
                       Fraction(3, 10), Fraction(3, 5))
 
 
+@pytest.mark.parametrize("b", [(), (Fraction(3, 2),), (Fraction(1, 2), Fraction(-1, 4)),
+                               (Fraction(1, 2),) * 66],
+                         ids=["empty", "above_one", "negative", "degree_above_cap"])
+def test_bernstein_guards(b):
+    with pytest.raises(InvalidParams):
+        bernstein_plan(b)
+
+
 def test_execution_requires_backend():
     plan = double_plan(constant_plan(Fraction(1, 4)), Fraction(1, 16))
     with pytest.raises(BackendRequired):
@@ -262,6 +271,25 @@ def test_constant_coin_outcomes_are_frozen():
                 out = run_plan(plan, source)
                 blob.update(f"{c}:{out.bit}:{out.tosses};".encode("ascii"))
     assert blob.hexdigest() == "f2a2e3ab73713588461ef46197ea6105e7776c6757de61be47bfb11f57d8f4f6"
+
+
+def test_bernstein_coin_tosses_n_times_then_its_constant_coin():
+    # (1 - p)^3 + p/2 at degree 3; range [1/6, 1], bias exact
+    plan = bernstein_plan((1, Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
+    assert (plan.range_iv.lo, plan.range_iv.hi) == (Fraction(1, 6), Fraction(1))
+    p = Fraction(1, 5)
+    assert plan_bias_interval(plan, p) == (Fraction(153, 250), Fraction(153, 250))
+    # three tosses 1, 0, 1 pick b_2 = 1/3; its first von Neumann pair 10
+    # ends the fair-bit search at m = 1, and digit 1 of 1/3 = 0.0101... is 0
+    tape = TapeSource([1, 0, 1, 1, 0])
+    out = run_plan(plan, tape)
+    assert (out.bit, out.tosses) == (0, 5)
+    widths = []
+    for depth in (6, 12):
+        accept, undecided = oracle_enumerate(plan, depth, p)
+        assert accept <= Fraction(153, 250) <= accept + undecided
+        widths.append(undecided)
+    assert widths[1] < widths[0]
 
 
 def test_product_oracle_is_exact_monomial():
@@ -359,6 +387,9 @@ def all_node_kinds():
         # a raced quotient whose h-coin has degree 2
         compile_to_plan(parse("p / (1/2 + p^2)"), Interval(Fraction(1, 10), Fraction(2, 5)),
                         backend=("exact",)),
+        # a polynomial sum compiled to one Bernstein coin, (1/4, 3/4, 1/4)
+        compile_to_plan(parse("p*(1-p) + 1/4"), Interval(Fraction(1, 10), Fraction(2, 5)),
+                        backend=("exact",)),
         # the series node itself, without the rescale series_plan puts above it
         series_plan(ConstantCoeffs(Fraction(1, 8)), Fraction(1, 2), Fraction(1, 8),
                     child=constant_plan(Fraction(1, 4)), backend=("exact",)).children[0],
@@ -411,6 +442,23 @@ def test_load_rejects_malformed_nodes(tmp_path, field):
         del doc["root"]["children"][0][field]
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidParams):
+        load_plan(path)
+
+
+@pytest.mark.parametrize("b, message", [
+    (["1/2", "3/2"], r"must lie in \[0, 1\]"),
+    ([], "at least one coefficient"),
+    (["1/2"] * 66, "degree 65 exceeds 64"),
+    (["1/2", "one half"], "malformed plan node"),
+], ids=["above_one", "empty", "degree_above_cap", "not_rational"])
+def test_load_rejects_bernstein_nodes_outside_their_rules(tmp_path, b, message):
+    # the constructor refuses the node before the stored hash is compared
+    path = tmp_path / "bernstein.json"
+    save_plan(bernstein_plan((Fraction(1, 4), Fraction(3, 4), Fraction(1, 4))), path)
+    doc = json.loads(path.read_text())
+    doc["root"]["data"]["b"] = b
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidParams, match=message):
         load_plan(path)
 
 

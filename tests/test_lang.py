@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +15,7 @@ from coinfactory import (
     parse,
     plan_bias_interval,
     plan_hash,
+    report_to_json,
     unparse,
 )
 from coinfactory.errors import CompileBlocked, ExprSyntaxError, InvalidParams
@@ -402,7 +406,89 @@ def test_quotient_without_bernstein_h_keeps_chain():
     )
 
 
+@pytest.mark.parametrize("text, digest", [
+    ("p / (1/2 + p^2)", "bb89e27227281c20b0697e61934407d7eaa09edb7055ff4cba7d21fa9e27c59a"),
+    ("p / (p + 1/5)", "86f4bdf313ab0c39bec94b688849ce84a75b1b048520c6cd3a0b9266e42ea928"),
+], ids=["h_degree_2", "h_degree_1"])
+def test_raced_quotient_reports_frozen(text, digest):
+    # the race's h-coin is a bernstein node that draws as the inline coin
+    # it replaced: degree raw tosses, then the constant coin of their ones
+    plan = compile_to_plan(parse(text), DOM, backend=("exact",))
+    doc = report_to_json(monte_carlo(plan, Fraction(1, 5), 1500, 501))
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_quotient_races_over_a_bernstein_denominator():
+    # the denominator compiles to one bernstein node; its polynomial still
+    # gives h = p(1-p)/2 + 1/4, so the quotient races with the same stream
+    plan = compile_to_plan(parse("(p*(1-p)/2) / (p*(1-p) + 1/4)"), DOM, backend=("exact",))
+    assert plan.children[1].kind == "bernstein"
+    assert "impl" not in plan._cache
+    assert plan._cache["h"].get("b") == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+    target = Fraction(8, 41)
+    assert plan_bias_interval(plan, Fraction(1, 5)) == (target, target)
+    # the report with its plan hash left out, as captured before the
+    # denominator became a bernstein node
+    doc = report_to_json(monte_carlo(plan, Fraction(1, 5), 1500, 501))
+    del doc["plan_hash"]
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+    assert hashlib.sha256(blob).hexdigest() == \
+        "c21b3122d65358c035307d629bfecc331a971ce2db26347a2a686b53fa0591eb"
+
+
+@pytest.mark.parametrize("text, b, target", [
+    ("p*(1-p) + 1/4", (Fraction(1, 4), Fraction(3, 4), Fraction(1, 4)), Fraction(41, 100)),
+    ("(1 - p)^3 + p/2", (1, Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),
+     Fraction(153, 250)),
+])
+def test_polynomial_sums_compile_to_one_bernstein_coin(text, b, target):
+    for backend in (("exact",), None):
+        plan = compile_to_plan(parse(text), DOM, backend=backend)
+        assert plan.kind == "bernstein" and plan.children == ()
+        assert plan.get("b") == b
+        assert plan_bias_interval(plan, Fraction(1, 5)) == (target, target)
+    runs = 10 ** 4
+    report = monte_carlo(plan, Fraction(1, 5), runs, 1)
+    assert (report.estimate - target) ** 2 <= 9 * target * (1 - target) / runs
+    assert report.toss_mean < 20
+
+
+def test_a_bernstein_range_keeps_the_certified_interval():
+    # p - 0 is the coin (0, 1), whose coefficients span [0, 1]; parents see
+    # the certified [1/10, 2/5] as before
+    plan = compile_to_plan(parse("(p - 0) * 1/2"), DOM)
+    child = plan.children[1]
+    assert child.kind == "bernstein"
+    assert (child.range_iv.lo, child.range_iv.hi) == (Fraction(1, 10), Fraction(2, 5))
+
+
+def test_walk_bias_interval_holds_with_a_literal_difference_in_the_sum():
+    # p - 0 compiles to the exact coin (0, 1), so the walk doubler of
+    # 1/2 + (p - 0) sees a child of bias 3/10 at p = 1/10 and its interval
+    # returns; 1/2 + (p - 1/20) still raises there, as p - 1/20 has no
+    # Bernstein form and keeps its own walk
+    plan = compile_to_plan(parse("1/2 + (p - 0)"), DOM, backend=("approx", 200))
+    lo, hi = plan_bias_interval(plan, Fraction(1, 10))
+    assert lo <= Fraction(3, 5) <= hi
+
+
 def test_compile_is_deterministic():
     a = compile_to_plan(parse("p / (p + 1/5)"), DOM, backend=("exact",))
     b = compile_to_plan(parse("p / (p + 1/5)"), DOM, backend=("exact",))
     assert plan_hash(a) == plan_hash(b)
+
+
+@given(_asts)
+def test_compiled_bias_intervals_contain_the_target(ast):
+    # wherever exact compilation succeeds, the plan's bias interval holds
+    # the expression's value, and a bernstein root gives it as a point
+    try:
+        plan = compile_to_plan(ast, DOM, backend=("exact",))
+    except CompileBlocked:
+        return
+    for p in (DOM.lo, (DOM.lo + DOM.hi) / 2, DOM.hi):
+        lo, hi = plan_bias_interval(plan, p)
+        assert lo <= _eval(ast, p) <= hi
+        if plan.kind == "bernstein":
+            assert lo == hi

@@ -18,6 +18,7 @@ from coinfactory.numerics import (
     FACTOR_COMB_MIN,
     FACTOR_COMB_RATIO,
     bernstein_coeffs,
+    bernstein_poly,
     binom,
     ceil_frac_mul,
     comb,
@@ -174,6 +175,15 @@ def test_bernstein_coeffs_raise_degree_until_in_unit_interval():
         x = Fraction(i, 10)
         assert sum(bk * comb(n, k) * x ** k * (1 - x) ** (n - k)
                    for k, bk in enumerate(b)) == poly_eval(h, x)
+
+
+def test_bernstein_poly_inverts_bernstein_coeffs():
+    # (1 - p)^3 + p/2 at degree 3, a quadratic raised to degree 3, a constant
+    for a in ((Fraction(1), Fraction(-5, 2), Fraction(3), Fraction(-1)),
+              (Fraction(3, 4), Fraction(-2), Fraction(2)), (Fraction(1, 5),)):
+        b = bernstein_coeffs(a, 64)
+        assert bernstein_poly(b) == a
+    assert bernstein_poly((Fraction(0),)) == ()
 
 
 def test_bernstein_coeffs_refuse_polynomials_leaving_unit_interval():
